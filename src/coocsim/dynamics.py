@@ -26,9 +26,8 @@ from .lattice import (
     MOORE_OFFSETS,
     OFFSET_ARRAY,
     OFFSET_LENGTHS,
-    disk_sum,
+    disk_counts,
     wrap,
-    wrapped_delta,
 )
 from .model import FOLLOW_PATH, DEACTIVATE_SOURCE, Model, initialize
 from .world import WorldState, agent_uniforms
@@ -177,14 +176,37 @@ def _layout(model: Model) -> _Layout:
     return layout
 
 
-def _active_counts(state: WorldState, n_pops: int) -> np.ndarray:
-    return np.bincount(state.population_index[state.active], minlength=n_pops)
+def _by_population(mask: np.ndarray, pop_index: np.ndarray, n_pops: int):
+    """Masked agent ids sorted by population, and each population's start."""
+    agents = np.flatnonzero(mask)
+    agents = agents[np.argsort(pop_index[agents], kind="stable")]
+    return agents, np.concatenate(([0], np.cumsum(np.bincount(pop_index[agents], minlength=n_pops))))
 
 
-def _occupancy(positions, pop_index, mask, n_pops: int, side: int) -> np.ndarray:
-    """Per-population patch occupancy grids, counting only masked agents."""
-    flat = (pop_index[mask].astype(np.int64) * side + positions[mask, 0]) * side + positions[mask, 1]
-    return np.bincount(flat, minlength=n_pops * side * side).reshape(n_pops, side, side)
+def _members(agents: np.ndarray, starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
+    """Place in ``pops`` and agent id of every agent of the listed populations."""
+    pops = np.asarray(pops, dtype=np.int64)
+    lengths = starts[pops + 1] - starts[pops]
+    slot = np.repeat(np.arange(len(pops)), lengths)
+    first = np.repeat(starts[pops] + lengths - np.cumsum(lengths), lengths)
+    return slot, agents[first + np.arange(len(slot))]
+
+
+def _linked_counts(side, agents, starts, xy, links, probes):
+    """For (population, (target, distance)) links: link slot, agent id and,
+    per probe offset, the count of target agents within distance of each
+    agent of the population moved by the offset, all positions from ``xy``."""
+    groups: dict[tuple[int, float], int] = {}
+    link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links],
+                          dtype=np.int64)
+    point_group, points = _members(agents, starts, [target for target, _ in groups])
+    slot, probed = _members(agents, starts, [pop for pop, _ in links])
+    at = (xy[probed, None, :] + probes) % side
+    counts = disk_counts(
+        side, [distance for _, distance in groups], point_group, xy[points],
+        np.repeat(link_group[slot], len(probes)), at.reshape(-1, 2),
+    )
+    return slot, probed, counts.reshape(len(probed), len(probes))
 
 
 def potential_at(candidate, agent_id: int, state: WorldState, model: Model) -> int:
@@ -195,28 +217,14 @@ def potential_at(candidate, agent_id: int, state: WorldState, model: Model) -> i
     ``candidate``. The probing agent itself never counts.
     """
     layout = _layout(model)
-    side = model.lattice.side
-    pop = int(state.population_index[agent_id])
-    cand = wrap(candidate, model.lattice)
-    total = 0
-    for target, distance in layout.field_groups[pop]:
-        mask = (state.population_index == target) & state.active
-        if not mask.any():
-            continue
-        pts = state.positions[mask]
-        dx = np.abs(pts[:, 0] - cand[0])
-        dx = np.minimum(dx, side - dx)
-        dy = np.abs(pts[:, 1] - cand[1])
-        dy = np.minimum(dy, side - dy)
-        count = int((dx * dx + dy * dy <= distance * distance).sum())
-        if target == pop and state.active[agent_id]:
-            own = state.positions[agent_id]
-            odx = wrapped_delta(own[0], cand[0], side)
-            ody = wrapped_delta(own[1], cand[1], side)
-            if odx * odx + ody * ody <= distance * distance:
-                count -= 1
-        total += count
-    return total
+    groups = layout.field_groups[int(state.population_index[agent_id])]
+    others = state.active & (np.arange(state.n_agents) != agent_id)
+    agents, starts = _by_population(others, state.population_index, layout.n_pops)
+    point_group, points = _members(agents, starts, [target for target, _ in groups])
+    counts = disk_counts(model.lattice.side, [distance for _, distance in groups],
+                         point_group, state.positions[points],
+                         np.arange(len(groups)), np.full((len(groups), 2), wrap(candidate, model.lattice)))
+    return int(counts.sum())
 
 
 def transition_distribution(agent_id: int, state: WorldState, model: Model) -> TransitionDistribution:
@@ -239,7 +247,7 @@ def select_rule(agent_id: int, state: WorldState, model: Model):
     break by matrix file order.
     """
     layout = _layout(model)
-    counts = _active_counts(state, layout.n_pops)
+    counts = np.bincount(state.population_index[state.active], minlength=layout.n_pops)
     entry = layout.select(int(state.population_index[agent_id]), counts)
     return model.matrix[entry.order]
 
@@ -260,92 +268,56 @@ def step(state: WorldState, model: Model, rng_root: int | None = None, workers: 
     pos = state.positions
     pop_index = state.population_index
     active = state.active
-    beta = model.params.beta
 
     u = agent_uniforms(rng_root, state.tick, n)
-    counts = np.bincount(pop_index[active], minlength=n_pops)
-    occ_active = _occupancy(pos, pop_index, active, n_pops, side)
+    agents, starts = _by_population(active, pop_index, n_pops)
+    counts = np.diff(starts)
 
-    selected: list[_Entry | None] = [None] * n_pops
-    for p in range(n_pops):
-        if counts[p] > 0:
-            selected[p] = layout.select(p, counts)
-
-    # Interaction fields for populations stepping with a biased walk. The
-    # field of a population is shared by all its agents this tick.
-    follow_pops = [
-        p for p in range(n_pops)
-        if selected[p] is not None and selected[p].movement == FOLLOW_PATH
-    ]
-    fields: dict[int, np.ndarray] = {}
-    group_grids: dict[tuple[int, float], np.ndarray] = {}
-    for p in follow_pops:
-        field = np.zeros((side, side), dtype=np.int64)
-        for target, distance in layout.field_groups[p]:
-            key = (target, distance)
-            grid = group_grids.get(key)
-            if grid is None:
-                grid = disk_sum(occ_active[target], side, distance)
-                group_grids[key] = grid
-            field += grid
-        fields[p] = field.reshape(-1)
-
-    # Flat indices of the 8 neighbour patches of every agent.
-    px = (pos[:, 0:1] + OFFSET_ARRAY[:, 0]) % side
-    py = (pos[:, 1:2] + OFFSET_ARRAY[:, 1]) % side
-    probe_idx = px * side + py
-
-    walk_flag = np.zeros(n_pops, dtype=bool)
-    for p in range(n_pops):
-        if selected[p] is not None and selected[p].movement != FOLLOW_PATH:
-            walk_flag[p] = True
-    walk_rows_all = active & walk_flag[pop_index]
-
+    selected = [layout.select(p, counts) if counts[p] else None for p in range(n_pops)]
+    follow_pops = [p for p, e in enumerate(selected) if e and e.movement == FOLLOW_PATH]
+    walk_pops = [p for p, e in enumerate(selected) if e and e.movement != FOLLOW_PATH]
     move_idx = np.zeros(n, dtype=np.int64)
+    _, walkers = _members(agents, starts, walk_pops)
+    move_idx[walkers] = np.minimum((u[walkers] * 8.0).astype(np.int64), 7)
+
+    # Interaction field at the 8 probes of every following agent: the sum,
+    # over its population's field groups, of the tick-t active agents of the
+    # group's target within the group's distance.
+    _, follow = _members(agents, starts, follow_pops)
+    links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
+    _, probed, linked = _linked_counts(side, agents, starts, pos, links, OFFSET_ARRAY)
+    h = np.zeros((n, 8), dtype=np.int64)
+    np.add.at(h, probed, linked)
+    h = h[follow]
 
     def fill_moves(lo: int, hi: int) -> None:
-        sl = slice(lo, hi)
-        walk_rows = walk_rows_all[sl]
-        if walk_rows.any():
-            draws = (u[sl][walk_rows] * 8.0).astype(np.int64)
-            move_idx[sl][walk_rows] = np.minimum(draws, 7)
-        pops_here = pop_index[sl]
-        act_here = active[sl]
-        for p in follow_pops:
-            rows = act_here & (pops_here == p)
-            if not rows.any():
-                continue
-            h_plus = fields[p][probe_idx[sl][rows]]
-            # Self-contributions of a self-linking entry cancel between the
-            # +d and -d probes, so the raw grid counts are already correct.
-            probs = bias_weights(h_plus, h_plus[:, ::-1], beta)
-            move_idx[sl][rows] = _sample_rows(probs, u[sl][rows])
+        # Self-contributions of a self-linking entry cancel between the +d
+        # and -d probes, so the raw counts are already correct.
+        probs = bias_weights(h[lo:hi], h[lo:hi, ::-1], model.params.beta)
+        move_idx[follow[lo:hi]] = _sample_rows(probs, u[follow[lo:hi]])
 
-    if workers <= 1 or n < 2:
-        fill_moves(0, n)
+    if workers <= 1 or len(follow) < 2:
+        fill_moves(0, len(follow))
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
+        bounds = np.linspace(0, len(follow), workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda i: fill_moves(bounds[i], bounds[i + 1]), range(workers)))
 
-    moved = (pos + OFFSET_ARRAY[move_idx]) % side
-    new_pos = np.where(active[:, None], moved, pos)
+    new_pos = pos.copy()
+    new_pos[agents] = (pos[agents] + OFFSET_ARRAY[move_idx[agents]]) % side
 
     # Deactivation: thresholds are checked against the post-move positions
     # of targets but their tick-t activity flags, so simultaneous freezes do
     # not shadow one another.
     new_active = active.copy()
-    occ_new = _occupancy(new_pos, pop_index, active, n_pops, side)
-    for p in range(n_pops):
-        entry = selected[p]
-        if entry is None or not entry.deactivates or entry.target is None:
-            continue
-        rows = np.nonzero(active & (pop_index == p))[0]
-        grid = disk_sum(occ_new[entry.target], side, entry.distance)
-        near = grid[new_pos[rows, 0], new_pos[rows, 1]]
-        if entry.target == p:
-            near = near - 1  # an agent is not its own neighbour
-        new_active[rows[near >= entry.cardinality]] = False
+    freezing = [(p, e) for p, e in enumerate(selected)
+                if e and e.deactivates and e.target is not None]
+    links = [(p, (e.target, e.distance)) for p, e in freezing]
+    slot, probed, near = _linked_counts(side, agents, starts, new_pos, links, np.zeros((1, 2), np.int64))
+    self_link = np.array([p == e.target for p, e in freezing], dtype=np.int64)
+    threshold = np.array([e.cardinality for _, e in freezing], dtype=np.int64)
+    # An agent is not its own neighbour.
+    new_active[probed[near[:, 0] - self_link[slot] >= threshold[slot]]] = False
 
     new_pos.setflags(write=False)
     new_active.setflags(write=False)

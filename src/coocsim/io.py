@@ -292,13 +292,15 @@ def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
     if scale < 1:
         raise ValueError("scale must be >= 1")
     side = state.side
-    patch = np.zeros((side, side, 3), dtype=np.uint8)
-    colors = np.array([PALETTE[i % len(PALETTE)] for i in range(len(state.population_names))],
-                      dtype=np.uint8)
-    for i in range(state.n_agents):
-        x, y = state.positions[i]
-        patch[y, x] = colors[state.population_index[i]]
-    image = np.repeat(np.repeat(patch, scale, axis=0), scale, axis=1)
+    # The highest agent id per patch, stated explicitly: numpy leaves the
+    # winner among duplicate indices of a plain assignment unspecified.
+    last = np.full(side * side, -1, dtype=np.int64)
+    np.maximum.at(last, state.positions[:, 1] * side + state.positions[:, 0],
+                  np.arange(state.n_agents))
+    patch = np.zeros((side * side, 3), dtype=np.uint8)
+    lit = last[last >= 0]
+    patch[last >= 0] = np.array(PALETTE, dtype=np.uint8)[state.population_index[lit] % len(PALETTE)]
+    image = np.repeat(np.repeat(patch.reshape(side, side, 3), scale, axis=0), scale, axis=1)
     header = f"P6\n{side * scale} {side * scale}\n255\n".encode("ascii")
     data = header + image.tobytes()
     sink.write(data)

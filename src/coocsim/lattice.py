@@ -1,4 +1,4 @@
-"""Toroidal square-lattice geometry: Moore offsets, wrapping, distances."""
+"""Toroidal square-lattice geometry: Moore offsets, wrapping, distances, disk counts."""
 
 from __future__ import annotations
 
@@ -85,19 +85,50 @@ def disk_offsets(side: int, radius: float) -> np.ndarray:
     Returned as an (k, 2) array of roll shifts in [0, side); each reachable
     patch appears exactly once even when the disk wraps around the world.
     """
-    offs = []
-    r2 = radius * radius
-    for dx in range(side):
-        wx = min(dx, side - dx)
-        if wx * wx > r2:
-            continue
-        for dy in range(side):
-            wy = min(dy, side - dy)
-            if wx * wx + wy * wy <= r2:
-                offs.append((dx, dy))
-    out = np.array(offs, dtype=np.int64)
+    ring = np.arange(side, dtype=np.int64)
+    sq = np.minimum(ring, side - ring) ** 2
+    out = np.argwhere(sq[:, None] + sq[None, :] <= radius * radius)
     out.setflags(write=False)
     return out
+
+
+#: Cells of one stamp grid and keys of one stamp chunk: the memory bounds
+#: of :func:`disk_counts`, whatever the number of groups, points or radius.
+_GRID_CELLS = 1 << 20
+_CHUNK_KEYS = 1 << 20
+
+
+def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy) -> np.ndarray:
+    """Per query, the points of the query's group within the group's radius.
+
+    Group g has radius ``radii[g]``; points and queries each carry an int64
+    group index and (x, y) patch. Every point stamps its ``disk_offsets`` once
+    onto a flat grid keyed ``(group * side + x) * side + y``, and each query
+    reads its own key. A grid holds a batch of groups of one radius, at most
+    ``_GRID_CELLS`` cells, and stamps are added ``_CHUNK_KEYS`` keys at a
+    time, so memory stays bounded. Counts are exact int64.
+    """
+    counts = np.zeros(len(query_group), dtype=np.int64)
+    cells = side * side
+    per_batch = max(1, _GRID_CELLS // cells)
+    grid = np.zeros(min(len(radii), per_batch) * cells, dtype=np.int64)
+    for radius in sorted(set(radii)):
+        offs = disk_offsets(side, radius)
+        chunk = max(1, _CHUNK_KEYS // len(offs))
+        groups = [g for g, r in enumerate(radii) if r == radius]
+        for b in range(0, len(groups), per_batch):
+            slot = np.full(len(radii), -1, dtype=np.int64)  # place in the grid
+            slot[groups[b:b + per_batch]] = np.arange(len(groups[b:b + per_batch]))
+            pts = np.flatnonzero(slot[point_group] >= 0)
+            qs = np.flatnonzero(slot[query_group] >= 0)
+            for lo in range(0, len(pts), chunk):
+                sel = pts[lo:lo + chunk]
+                x = (point_xy[sel, 0:1] + offs[:, 0]) % side
+                y = (point_xy[sel, 1:2] + offs[:, 1]) % side
+                np.add.at(grid, ((slot[point_group[sel], None] * side + x) * side + y).ravel(), 1)
+            counts[qs] = grid[(slot[query_group[qs]] * side + query_xy[qs, 0]) * side + query_xy[qs, 1]]
+            grid.fill(0)
+    return counts
 
 
 def disk_sum(grid: np.ndarray, side: int, radius: float) -> np.ndarray:

@@ -22,10 +22,6 @@ DEACTIVATE_SOURCE = "deactivate-source"
 MOVEMENT_ACTIONS = frozenset({RANDOM_WALK, FOLLOW_PATH})
 DEACTIVATION_ACTIONS = frozenset({DEACTIVATE_NONE, DEACTIVATE_SOURCE})
 
-# Fixed constants of the walk: one patch per tick, 8 directions.
-STEP_LENGTH = 1
-DIRECTION_COUNT = 8
-
 #: Default root seed. A fixed constant rather than wall clock, so that runs
 #: with no explicit seed are still reproducible.
 DEFAULT_SEED = 1729
@@ -214,8 +210,8 @@ def validate(model: Model) -> list[Diagnostic]:
     p = model.params
     if p.lattice_side != model.lattice.side:
         err(f"params lattice_side {p.lattice_side} does not match lattice side {model.lattice.side}")
-    if p.beta < 0:
-        err(f"beta must be nonnegative, got {p.beta}")
+    if not (np.isfinite(p.beta) and p.beta >= 0):
+        err(f"beta must be a finite nonnegative number, got {p.beta}")
     if not 0 <= p.seed < _MAX_SEED:
         err(f"seed must fit in 64 unsigned bits, got {p.seed}")
     if p.max_ticks < 0:

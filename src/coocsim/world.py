@@ -62,9 +62,6 @@ class WorldState:
     def n_agents(self) -> int:
         return int(self.population_index.shape[0])
 
-    def population_of(self, agent_id: int) -> str:
-        return self.population_names[int(self.population_index[agent_id])]
-
     def agents(self) -> Iterator[AgentView]:
         for i in range(self.n_agents):
             yield AgentView(

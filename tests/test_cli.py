@@ -120,6 +120,31 @@ def test_run_writes_snapshots_when_asked(tmp_path):
     assert data.startswith(b"P6\n248 248\n255\n")
 
 
+def _assert_rejected_before_output(rc, out, err, word):
+    assert rc == 1
+    assert not out.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
+
+
+def test_run_rejects_zero_distance_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{"--distance": 0}))
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, "--distance")
+
+
+def test_run_rejects_nan_distance_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{"--distance": "nan"}))
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, "--distance")
+
+
+def test_run_rejects_nan_beta_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out), "--beta", "nan")
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, "beta")
+
+
 def test_run_crowding_warning_on_stderr(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("run", *_run_args(tmp_path, out, **{"--size": 100}))

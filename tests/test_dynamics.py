@@ -14,7 +14,8 @@ from coocsim import (
     step,
     transition_distribution,
 )
-from coocsim.io import parse_rules
+from coocsim import lattice
+from coocsim.io import build_relation_model, parse_edge_list, parse_rules
 from coocsim.model import InteractionMatrixEntry
 
 from reference import (
@@ -346,6 +347,64 @@ end
             assert (fast.positions == slow.positions).all(), f"trial {trial}"
             assert (fast.active == slow.active).all(), f"trial {trial}"
             state = fast
+
+
+def _assert_steps_match_oracle(model, seed, ticks):
+    state = initialize(model, seed)
+    for tick in range(ticks):
+        fast = step(state, model, seed)
+        slow = oracle_step(state, model, seed)
+        assert (fast.positions == slow.positions).all(), f"tick {tick}"
+        assert (fast.active == slow.active).all(), f"tick {tick}"
+        state = fast
+    return state
+
+
+def test_step_matches_reference_on_an_extended_hub_and_ring():
+    """The gen-matrix shape of a real network: every ring population follows
+    the hub and its ring neighbours, so field groups are shared between
+    many populations."""
+    ring = [f"r{i:02d}" for i in range(32)]
+    text = "".join(f"{name} zhub\n{name} {ring[(i + 1) % len(ring)]}\n"
+                   for i, name in enumerate(ring))
+    relation = build_relation_model(parse_edge_list(text), "zhub", kind="extended")
+    assert len(relation.populations) >= 30
+    model = build_model(relation.rules, relation.matrix, side=13, sizes=2, seed=21)
+    last = _assert_steps_match_oracle(model, 21, 3)
+    assert 0 < last.active.sum() < last.n_agents
+
+
+def test_step_matches_reference_on_shared_targets_and_whole_torus_disks(monkeypatch):
+    """One population follows the same target at two distances, another
+    population's distance covers the whole torus. Tiny grid and chunk
+    budgets force one group per grid and many stamp chunks."""
+    monkeypatch.setattr(lattice, "_GRID_CELLS", 1)
+    monkeypatch.setattr(lattice, "_CHUNK_KEYS", 7)
+    rules = parse_rules("""
+interaction walk
+actions random-walk deactivate-none
+end
+
+interaction pull
+actions follow-path deactivate-none
+end
+
+interaction glue
+actions follow-path deactivate-source
+end
+""")
+    matrix = [InteractionMatrixEntry(name, "walk", 0, 0) for name in "abcd"]
+    matrix += [
+        InteractionMatrixEntry("a", "glue", 2, 1, "b", 1.5),
+        InteractionMatrixEntry("a", "pull", 1, 1, "b", 3.0),
+        InteractionMatrixEntry("d", "pull", 1, 1, "b", 1.5),
+        InteractionMatrixEntry("d", "pull", 1, 1, "c", 2.0),
+        InteractionMatrixEntry("b", "pull", 1, 1, "b", 20.0),
+        InteractionMatrixEntry("c", "glue", 1, 5, "a", 20.0),
+    ]
+    model = build_model(rules, matrix, side=9, beta=2.0, seed=5,
+                        sizes={"a": 5, "b": 4, "c": 3, "d": 3})
+    _assert_steps_match_oracle(model, 5, 4)
 
 
 def test_worker_count_does_not_change_the_result():

@@ -364,3 +364,18 @@ def test_snapshot_last_agent_in_id_order_wins():
     img = np.frombuffer(sink.getvalue()[len(b"P6\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4, 3)
     from coocsim.io import PALETTE
     assert tuple(img[1, 1]) == PALETTE[1]
+
+
+def test_snapshot_highest_id_wins_among_interleaved_populations():
+    rows = [("b", (2, 1), True), ("a", (2, 1), True), ("b", (2, 1), False),
+            ("a", (2, 1), True), ("b", (0, 3), True), ("b", (0, 3), True),
+            ("a", (0, 3), True)]
+    state = make_state(4, ("a", "b"), rows)
+    sink = stdio.BytesIO()
+    render_snapshot(state, sink, scale=1)
+    img = np.frombuffer(sink.getvalue()[len(b"P6\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4, 3)
+    from coocsim.io import PALETTE
+    assert tuple(img[1, 2]) == PALETTE[0]   # agent 3 of "a" is the last on (2, 1)
+    assert tuple(img[3, 0]) == PALETTE[0]   # agent 6 of "a" is the last on (0, 3)
+    lit = {(r, c) for r in range(4) for c in range(4) if img[r, c].any()}
+    assert lit == {(1, 2), (3, 0)}

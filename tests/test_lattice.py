@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coocsim import Lattice, neighbor_offsets, toroidal_distance, wrap
-from coocsim.lattice import disk_offsets, disk_sum, within_distance
+from coocsim import lattice
+from coocsim.lattice import disk_counts, disk_offsets, disk_sum, within_distance
 
 MOORE = {(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)}
 
@@ -128,3 +129,37 @@ def test_disk_sum_counts_neighbours():
     assert out[4, 6] == 2   # distance 2 inclusive
     assert out[4, 7] == 0
     assert out[8, 8] == 1   # wraps around the corner
+
+
+def _brute_disk_counts(side, radii, point_group, point_xy, query_group, query_xy):
+    return [
+        sum(1 for g, p in zip(point_group, point_xy)
+            if g == qg and within_distance(p, q, side, radii[qg]))
+        for qg, q in zip(query_group, query_xy)
+    ]
+
+
+@pytest.mark.parametrize("grid_cells,chunk_keys", [(1 << 20, 1 << 20), (1, 5)])
+def test_disk_counts_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys):
+    # The small budgets force one group per grid and a few stamps per chunk.
+    monkeypatch.setattr(lattice, "_GRID_CELLS", grid_cells)
+    monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    rng = np.random.default_rng(17)
+    side = 9
+    radii = [2.0, 1.0, 2.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
+    point_group = rng.integers(0, len(radii), 60)
+    point_xy = rng.integers(0, side, (60, 2))
+    query_group = rng.integers(0, len(radii), 200)
+    query_xy = rng.integers(0, side, (200, 2))
+    got = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
+    assert got.dtype == np.int64
+    assert got.tolist() == _brute_disk_counts(side, radii, point_group, point_xy,
+                                              query_group, query_xy)
+
+
+def test_disk_counts_without_points_or_queries():
+    no_xy, no_group = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    one_xy, one_group = np.array([(3, 3)]), np.array([0])
+    assert disk_counts(7, [2.0], no_group, no_xy, one_group, one_xy).tolist() == [0]
+    assert disk_counts(7, [2.0], one_group, one_xy, no_group, no_xy).tolist() == []
+    assert disk_counts(7, [], no_group, no_xy, no_group, no_xy).tolist() == []

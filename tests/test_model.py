@@ -133,6 +133,14 @@ def test_bad_params_are_errors(rules_text):
     assert any("max_ticks" in m for m in msgs)
 
 
+def test_non_finite_beta_is_an_error(rules_text):
+    matrix = [InteractionMatrixEntry("a", "walk", 0, 0)]
+    for beta in (float("nan"), float("inf")):
+        model = build_model(parse_rules(rules_text), matrix, side=9, sizes=5, beta=beta)
+        msgs = [d.message for d in errors(validate(model))]
+        assert any("beta" in m for m in msgs), beta
+
+
 def test_initialize_is_reproducible():
     model = make_toy_model(seed=123)
     a = initialize(model, 123)
