@@ -8,7 +8,7 @@ then show which populations pack around a chosen target.
 
 __version__ = "0.1.0"
 
-from .lattice import Lattice, neighbor_offsets, toroidal_distance, wrap
+from .lattice import Lattice, toroidal_distance, wrap
 from .model import (
     DEFAULT_SEED,
     Diagnostic,
@@ -60,7 +60,7 @@ from .io import (
 
 __all__ = [
     "__version__",
-    "Lattice", "neighbor_offsets", "toroidal_distance", "wrap",
+    "Lattice", "toroidal_distance", "wrap",
     "DEFAULT_SEED", "Diagnostic", "InteractionMatrixEntry", "InteractionRule",
     "Model", "PopulationSpec", "SimParams", "build_model", "initialize", "validate",
     "WorldState", "agent_uniforms",

@@ -76,6 +76,8 @@ def _read_sizes(path: str) -> dict[str, int]:
 def _cmd_run(args: argparse.Namespace) -> int:
     if not 0 < args.distance < float("inf"):
         raise CliError(f"--distance must be a finite positive number, got {args.distance}")
+    if args.side < 3:
+        raise CliError(f"--side must be at least 3, got {args.side}")
     try:
         rules = parse_rules(_read_text(args.rules))
     except ParseError as exc:

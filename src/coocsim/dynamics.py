@@ -201,9 +201,9 @@ def _linked_counts(side, agents, starts, xy, links, probes):
                           dtype=np.int64)
     point_group, points = _members(agents, starts, [target for target, _ in groups])
     slot, probed = _members(agents, starts, [pop for pop, _ in links])
-    at = (xy[probed, None, :] + probes) % side
+    at = (np.take(xy, probed, axis=0)[:, None, :] + probes) % side
     counts = disk_counts(
-        side, [distance for _, distance in groups], point_group, xy[points],
+        side, [distance for _, distance in groups], point_group, np.take(xy, points, axis=0),
         np.repeat(link_group[slot], len(probes)), at.reshape(-1, 2),
     )
     return slot, probed, counts.reshape(len(probed), len(probes))
@@ -269,16 +269,17 @@ def step(state: WorldState, model: Model, rng_root: int | None = None, workers: 
     pop_index = state.population_index
     active = state.active
 
-    u = agent_uniforms(rng_root, state.tick, n)
     agents, starts = _by_population(active, pop_index, n_pops)
     counts = np.diff(starts)
+    first, last = (int(agents.min()), int(agents.max()) + 1) if len(agents) else (0, 0)
+    u = agent_uniforms(rng_root, state.tick, last - first, first)  # agent i's is u[i - first]
 
     selected = [layout.select(p, counts) if counts[p] else None for p in range(n_pops)]
     follow_pops = [p for p, e in enumerate(selected) if e and e.movement == FOLLOW_PATH]
     walk_pops = [p for p, e in enumerate(selected) if e and e.movement != FOLLOW_PATH]
     move_idx = np.zeros(n, dtype=np.int64)
     _, walkers = _members(agents, starts, walk_pops)
-    move_idx[walkers] = np.minimum((u[walkers] * 8.0).astype(np.int64), 7)
+    move_idx[walkers] = np.minimum((u[walkers - first] * 8.0).astype(np.int64), 7)
 
     # Interaction field at the 8 probes of every following agent: the sum,
     # over its population's field groups, of the tick-t active agents of the
@@ -286,15 +287,16 @@ def step(state: WorldState, model: Model, rng_root: int | None = None, workers: 
     _, follow = _members(agents, starts, follow_pops)
     links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
     _, probed, linked = _linked_counts(side, agents, starts, pos, links, OFFSET_ARRAY)
-    h = np.zeros((n, 8), dtype=np.int64)
-    np.add.at(h, probed, linked)
-    h = h[follow]
+    rank = np.empty(n, dtype=np.int64)  # row of each following agent in h
+    rank[follow] = np.arange(len(follow))
+    h = np.zeros((len(follow), 8), dtype=np.int64)
+    np.add.at(h, rank[probed], linked)
 
     def fill_moves(lo: int, hi: int) -> None:
         # Self-contributions of a self-linking entry cancel between the +d
         # and -d probes, so the raw counts are already correct.
         probs = bias_weights(h[lo:hi], h[lo:hi, ::-1], model.params.beta)
-        move_idx[follow[lo:hi]] = _sample_rows(probs, u[follow[lo:hi]])
+        move_idx[follow[lo:hi]] = _sample_rows(probs, u[follow[lo:hi] - first])
 
     if workers <= 1 or len(follow) < 2:
         fill_moves(0, len(follow))
@@ -304,7 +306,7 @@ def step(state: WorldState, model: Model, rng_root: int | None = None, workers: 
             list(pool.map(lambda i: fill_moves(bounds[i], bounds[i + 1]), range(workers)))
 
     new_pos = pos.copy()
-    new_pos[agents] = (pos[agents] + OFFSET_ARRAY[move_idx[agents]]) % side
+    new_pos[agents] = (np.take(pos, agents, 0) + np.take(OFFSET_ARRAY, move_idx[agents], 0)) % side
 
     # Deactivation: thresholds are checked against the post-move positions
     # of targets but their tick-t activity flags, so simultaneous freezes do

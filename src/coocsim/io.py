@@ -283,11 +283,11 @@ def read_report_csv(text: str) -> tuple[dict[str, int], float]:
 
 
 def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
-    """Write the world as a binary P6 pixmap, one scale x scale block per patch.
+    """Stream the world as a binary P6 pixmap, one scale x scale block per patch.
 
     A patch shows the colour of the last agent (in id order) occupying it;
     frozen agents keep their patch. Empty patches are black. Output bytes
-    are a pure function of the state.
+    are a pure function of the state, written one pixel row at a time.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -297,11 +297,11 @@ def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
     last = np.full(side * side, -1, dtype=np.int64)
     np.maximum.at(last, state.positions[:, 1] * side + state.positions[:, 0],
                   np.arange(state.n_agents))
-    patch = np.zeros((side * side, 3), dtype=np.uint8)
-    lit = last[last >= 0]
-    patch[last >= 0] = np.array(PALETTE, dtype=np.uint8)[state.population_index[lit] % len(PALETTE)]
-    image = np.repeat(np.repeat(patch.reshape(side, side, 3), scale, axis=0), scale, axis=1)
+    colour = np.append(state.population_index % len(PALETTE), len(PALETTE))  # no agent (-1): black
+    patch = np.array(PALETTE + ((0, 0, 0),), dtype=np.uint8)[colour[last]]
+    rows = np.repeat(patch.reshape(side, side, 3), scale, axis=1)
     header = f"P6\n{side * scale} {side * scale}\n255\n".encode("ascii")
-    data = header + image.tobytes()
-    sink.write(data)
-    return len(data)
+    sink.write(header)
+    for row in rows:
+        sink.write(row.tobytes() * scale)
+    return len(header) + rows.nbytes * scale

@@ -23,11 +23,6 @@ OFFSET_LENGTHS = np.hypot(OFFSET_ARRAY[:, 0], OFFSET_ARRAY[:, 1])
 OFFSET_LENGTHS.setflags(write=False)
 
 
-def neighbor_offsets() -> tuple[tuple[int, int], ...]:
-    """Return the 8 single-step displacements in their canonical order."""
-    return MOORE_OFFSETS
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Square world of ``side`` x ``side`` unit patches with wrapped edges.
@@ -123,8 +118,9 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy) 
             qs = np.flatnonzero(slot[query_group] >= 0)
             for lo in range(0, len(pts), chunk):
                 sel = pts[lo:lo + chunk]
-                x = (point_xy[sel, 0:1] + offs[:, 0]) % side
-                y = (point_xy[sel, 1:2] + offs[:, 1]) % side
+                xy = np.take(point_xy, sel, axis=0)
+                x = (xy[:, 0:1] + offs[:, 0]) % side
+                y = (xy[:, 1:2] + offs[:, 1]) % side
                 np.add.at(grid, ((slot[point_group[sel], None] * side + x) * side + y).ravel(), 1)
             counts[qs] = grid[(slot[query_group[qs]] * side + query_xy[qs, 0]) * side + query_xy[qs, 1]]
             grid.fill(0)

@@ -79,13 +79,11 @@ def placement_generator(seed: int) -> np.random.Generator:
     )
 
 
-def agent_uniforms(seed: int, tick: int, n_agents: int) -> np.ndarray:
-    """One uniform double per agent slot for the move out of ``tick``.
-
-    The value at index i is a pure function of (seed, tick, i), which makes
-    stepping independent of both iteration order and worker count.
+def agent_uniforms(seed: int, tick: int, n_agents: int, first: int = 0) -> np.ndarray:
+    """Uniform doubles of agents ``first`` to ``first + n_agents - 1`` for the
+    move out of ``tick``. Agent i's value is a pure function of (seed, tick,
+    i), so stepping depends neither on iteration order nor on worker count.
     """
-    gen = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, _TICK_STREAM, tick)))
-    )
-    return gen.random(n_agents)
+    bits = np.random.Philox(np.random.SeedSequence((seed, _TICK_STREAM, tick)))
+    bits.advance(first // 4)  # Philox yields 4 doubles per counter step
+    return np.random.Generator(bits).random(n_agents + first % 4)[first % 4:]

@@ -145,6 +145,12 @@ def test_run_rejects_nan_beta_before_writing(tmp_path, capsys):
     _assert_rejected_before_output(rc, out, capsys.readouterr().err, "beta")
 
 
+def test_run_rejects_side_below_three_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{"--side": 2}))
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, "side")
+
+
 def test_run_crowding_warning_on_stderr(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("run", *_run_args(tmp_path, out, **{"--size": 100}))

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coocsim import (
     ConfigurationFault,
     TransitionDistribution,
+    agent_uniforms,
     bias_weights,
     build_model,
     initialize,
@@ -407,6 +410,36 @@ end
     _assert_steps_match_oracle(model, 5, 4)
 
 
+def test_step_matches_reference_when_the_active_ids_start_inside_a_counter_block():
+    """Agents 0-5 and the last 3 are frozen, so step draws uniforms over an
+    id span whose first agent is not the first of a Philox counter block."""
+    model = make_toy_model(walkers=10, particles=14, side=11, seed=1)
+    active = np.ones(24, dtype=bool)
+    active[:6] = active[-3:] = False
+    state = dataclasses.replace(initialize(model, 1), active=active)
+    for tick in range(4):
+        assert np.flatnonzero(state.active)[0] % 4 != 0
+        fast = step(state, model, 1)
+        slow = oracle_step(state, model, 1)
+        assert (fast.positions == slow.positions).all(), f"tick {tick}"
+        assert (fast.active == slow.active).all(), f"tick {tick}"
+        state = fast
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.integers(0, 70), st.integers(0, 40))
+@example(seed=3, tick=0, first=4, k=9)
+@example(seed=3, tick=0, first=5, k=9)
+@example(seed=3, tick=0, first=6, k=9)
+@example(seed=3, tick=0, first=7, k=9)
+@example(seed=3, tick=1, first=6, k=0)
+@example(seed=3, tick=1, first=99, k=1)  # the last of 100 agents
+def test_ranged_uniforms_are_the_slice_of_the_full_draw(seed, tick, first, k):
+    ranged = agent_uniforms(seed, tick, k, first)
+    assert ranged.shape == (k,)
+    assert np.array_equal(ranged, agent_uniforms(seed, tick, first + k)[first:])
+
+
 def test_worker_count_does_not_change_the_result():
     model = make_toy_model(walkers=40, particles=60, side=21, seed=13)
     state = initialize(model, 13)
@@ -504,8 +537,6 @@ def test_particle_near_walkers_freezes():
 def test_step_samples_exactly_the_published_distribution():
     """The kernel's move for a biased agent is the one obtained by sampling
     transition_distribution with that agent's per-tick uniform."""
-    from coocsim import agent_uniforms
-
     model = make_toy_model(walkers=15, particles=15, side=13, seed=19)
     state = initialize(model, 19)
     seed = 19

@@ -379,3 +379,29 @@ def test_snapshot_highest_id_wins_among_interleaved_populations():
     assert tuple(img[3, 0]) == PALETTE[0]   # agent 6 of "a" is the last on (0, 3)
     lit = {(r, c) for r in range(4) for c in range(4) if img[r, c].any()}
     assert lit == {(1, 2), (3, 0)}
+
+
+def test_snapshot_streams_rows_equal_to_the_scaled_image():
+    rng = np.random.default_rng(23)
+    names = ("a", "b", "c", "d")
+    rows = [(names[rng.integers(0, 4)], tuple(rng.integers(0, 6, 2)), bool(rng.random() < 0.7))
+            for _ in range(30)]
+    state = make_state(6, names, rows)
+    assert len({pos for _, pos, _ in rows}) < len(rows)  # some patches are shared
+
+    class RecordingSink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+            return len(data)
+
+    one, three = RecordingSink(), RecordingSink()
+    render_snapshot(state, one, scale=1)
+    written = render_snapshot(state, three, scale=3)
+    pixels = np.frombuffer(b"".join(one.writes)[len(b"P6\n6 6\n255\n"):], dtype=np.uint8)
+    scaled = np.repeat(np.repeat(pixels.reshape(6, 6, 3), 3, axis=0), 3, axis=1)
+    assert b"".join(three.writes) == b"P6\n18 18\n255\n" + scaled.tobytes()
+    assert written == sum(len(w) for w in three.writes)
+    assert len(three.writes) > 1

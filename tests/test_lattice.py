@@ -4,35 +4,35 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coocsim import Lattice, neighbor_offsets, toroidal_distance, wrap
+from coocsim import Lattice, toroidal_distance, wrap
 from coocsim import lattice
-from coocsim.lattice import disk_counts, disk_offsets, disk_sum, within_distance
+from coocsim.lattice import MOORE_OFFSETS, disk_counts, disk_offsets, disk_sum, within_distance
 
 MOORE = {(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)}
 
 
 def test_offsets_are_the_eight_moore_displacements():
-    offs = neighbor_offsets()
+    offs = MOORE_OFFSETS
     assert len(offs) == 8
     assert set(offs) == MOORE
     assert (0, 0) not in offs
 
 
 def test_offsets_sum_to_zero():
-    sx = sum(dx for dx, _ in neighbor_offsets())
-    sy = sum(dy for _, dy in neighbor_offsets())
+    sx = sum(dx for dx, _ in MOORE_OFFSETS)
+    sy = sum(dy for _, dy in MOORE_OFFSETS)
     assert (sx, sy) == (0, 0)
 
 
 def test_mean_squared_offset_length_is_one_and_a_half():
     # enumerate the full direction set: 4 axis moves of length^2 1,
     # 4 diagonal moves of length^2 2
-    lengths_sq = [dx * dx + dy * dy for dx, dy in neighbor_offsets()]
+    lengths_sq = [dx * dx + dy * dy for dx, dy in MOORE_OFFSETS]
     assert sum(lengths_sq) / 8 == pytest.approx(1.5, abs=0)
 
 
 def test_opposite_offset_pairing():
-    offs = neighbor_offsets()
+    offs = MOORE_OFFSETS
     for k in range(8):
         assert offs[k][0] == -offs[7 - k][0]
         assert offs[k][1] == -offs[7 - k][1]
