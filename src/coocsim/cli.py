@@ -46,6 +46,13 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _parse_ticks(raw: str, steps: int) -> list[int]:
     try:
         ticks = sorted({int(tok) for tok in raw.split(",") if tok.strip()})
@@ -113,7 +120,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     ticks = _parse_ticks(args.report_ticks, args.steps)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create {args.out}: {exc.strerror or exc}") from exc
 
     def write_outputs(state, _model):
         report = neighborhood_counts(state, args.target, args.distance)
@@ -125,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return state.tick
 
     try:
-        run(model, report_ticks=ticks, observers=[write_outputs], workers=args.workers)
+        run(model, report_ticks=ticks, observers=[write_outputs])
     except ConfigurationFault as exc:
         raise CliError(str(exc)) from exc
 
@@ -167,8 +177,8 @@ def _cmd_gen_matrix(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    Path(args.rules_out).write_text(format_rules(relation.rules), encoding="utf-8")
-    Path(args.matrix_out).write_text(format_matrix(relation.matrix), encoding="utf-8")
+    _write_text(args.rules_out, format_rules(relation.rules))
+    _write_text(args.matrix_out, format_matrix(relation.matrix))
     print(f"populations: {len(relation.populations)}")
     print(f"relations: {relation.relation_count}")
     return 0
@@ -206,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--distance", type=float, default=2.0, help="neighbourhood distance")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--snapshots", action="store_true", help="also write P6 snapshots")
-    p_run.add_argument("--workers", type=int, default=1, help="threads for the move kernel")
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-matrix", help="generate rules and matrix from an edge list")

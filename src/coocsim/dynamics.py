@@ -5,7 +5,7 @@ apply simultaneously. Movement is either a uniform walk over the 8 lattice
 directions or a walk biased by the discrete gradient of an interaction
 field: the count of matrix-linked neighbour agents within an entry's
 distance. Per-agent randomness is indexed by (seed, tick, agent id), so the
-successor state does not depend on iteration order or worker count.
+successor state does not depend on iteration order.
 
 Deactivation is evaluated after the synchronous move: an agent whose
 selected entry carries the deactivate-source action freezes in place when
@@ -15,8 +15,6 @@ Frozen agents keep their patch for the rest of the run.
 
 from __future__ import annotations
 
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -109,7 +107,7 @@ class _Entry:
 
 
 class _Layout:
-    """Index-resolved view of a model, built once and reused every tick."""
+    """Index-resolved view of a model; ``run`` builds one and reuses it every tick."""
 
     def __init__(self, model: Model):
         names = model.population_names
@@ -165,17 +163,6 @@ class _Layout:
         )
 
 
-_LAYOUTS: "weakref.WeakKeyDictionary[Model, _Layout]" = weakref.WeakKeyDictionary()
-
-
-def _layout(model: Model) -> _Layout:
-    layout = _LAYOUTS.get(model)
-    if layout is None:
-        layout = _Layout(model)
-        _LAYOUTS[model] = layout
-    return layout
-
-
 def _by_population(mask: np.ndarray, pop_index: np.ndarray, n_pops: int):
     """Masked agent ids sorted by population, and each population's start."""
     agents = np.flatnonzero(mask)
@@ -216,7 +203,7 @@ def potential_at(candidate, agent_id: int, state: WorldState, model: Model) -> i
     the agent's population to T and b lies within that entry's distance of
     ``candidate``. The probing agent itself never counts.
     """
-    layout = _layout(model)
+    layout = _Layout(model)
     groups = layout.field_groups[int(state.population_index[agent_id])]
     others = state.active & (np.arange(state.n_agents) != agent_id)
     agents, starts = _by_population(others, state.population_index, layout.n_pops)
@@ -246,22 +233,24 @@ def select_rule(agent_id: int, state: WorldState, model: Model):
     of its target family exist anywhere; a walk entry always applies. Ties
     break by matrix file order.
     """
-    layout = _layout(model)
+    layout = _Layout(model)
     counts = np.bincount(state.population_index[state.active], minlength=layout.n_pops)
     entry = layout.select(int(state.population_index[agent_id]), counts)
     return model.matrix[entry.order]
 
 
-def step(state: WorldState, model: Model, rng_root: int | None = None, workers: int = 1) -> WorldState:
+def step(state: WorldState, model: Model, rng_root: int | None = None,
+         layout: _Layout | None = None) -> WorldState:
     """Advance the world by one tick.
 
     Stateless with respect to randomness: the same (state, model, rng_root)
-    always yields the same successor. Worker count only partitions the
-    per-agent computation and never changes the result.
+    always yields the same successor. ``layout`` is ``_Layout(model)``,
+    built here when not given.
     """
     if rng_root is None:
         rng_root = model.params.seed
-    layout = _layout(model)
+    if layout is None:
+        layout = _Layout(model)
     side = model.lattice.side
     n_pops = layout.n_pops
     n = state.n_agents
@@ -291,19 +280,10 @@ def step(state: WorldState, model: Model, rng_root: int | None = None, workers: 
     rank[follow] = np.arange(len(follow))
     h = np.zeros((len(follow), 8), dtype=np.int64)
     np.add.at(h, rank[probed], linked)
-
-    def fill_moves(lo: int, hi: int) -> None:
-        # Self-contributions of a self-linking entry cancel between the +d
-        # and -d probes, so the raw counts are already correct.
-        probs = bias_weights(h[lo:hi], h[lo:hi, ::-1], model.params.beta)
-        move_idx[follow[lo:hi]] = _sample_rows(probs, u[follow[lo:hi] - first])
-
-    if workers <= 1 or len(follow) < 2:
-        fill_moves(0, len(follow))
-    else:
-        bounds = np.linspace(0, len(follow), workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda i: fill_moves(bounds[i], bounds[i + 1]), range(workers)))
+    # Self-contributions of a self-linking entry cancel between the +d and
+    # -d probes, so the raw counts are already correct.
+    probs = bias_weights(h, h[:, ::-1], model.params.beta)
+    move_idx[follow] = _sample_rows(probs, u[follow - first])
 
     new_pos = pos.copy()
     new_pos[agents] = (np.take(pos, agents, 0) + np.take(OFFSET_ARRAY, move_idx[agents], 0)) % side
@@ -344,7 +324,6 @@ def run(
     report_ticks: Sequence[int] = (),
     observers: Sequence[Callable[[WorldState, Model], object]] = (),
     seed: int | None = None,
-    workers: int = 1,
 ) -> RunResult:
     """Initialize and step to ``max_ticks``, sampling observers on the way.
 
@@ -358,12 +337,13 @@ def run(
     if wanted and (wanted[0] < 0 or wanted[-1] > model.params.max_ticks):
         raise ValueError("report ticks must lie within [0, max_ticks]")
     state = initialize(model, seed)
+    layout = _Layout(model)  # after initialize: set-up time is measured up to placement
     observations: dict[int, tuple] = {}
     if wanted and wanted[0] == 0:
         observations[0] = tuple(obs(state, model) for obs in observers)
     remaining = [t for t in wanted if t > 0]
     for tick in range(1, model.params.max_ticks + 1):
-        state = step(state, model, seed, workers)
+        state = step(state, model, seed, layout)
         if remaining and remaining[0] == tick:
             remaining.pop(0)
             observations[tick] = tuple(obs(state, model) for obs in observers)

@@ -59,7 +59,7 @@ def neighborhood_counts(state: WorldState, target: str, d: float) -> Neighborhoo
     it. Inactive agents keep occupying their patch and are counted on both
     sides.
     """
-    if d <= 0:
+    if not d > 0:
         raise ValueError("neighbourhood distance must be positive")
     names = state.population_names
     try:

@@ -64,7 +64,6 @@ class InteractionMatrixEntry:
 
 @dataclass(frozen=True)
 class SimParams:
-    lattice_side: int
     beta: float = 1.0          # bias strength of the field-following walk
     seed: int = DEFAULT_SEED
     max_ticks: int = 1000
@@ -135,7 +134,7 @@ def build_model(
         populations=populations,
         rules=tuple(rules),
         matrix=tuple(matrix),
-        params=SimParams(lattice_side=side, beta=beta, seed=seed, max_ticks=max_ticks),
+        params=SimParams(beta=beta, seed=seed, max_ticks=max_ticks),
     )
 
 
@@ -208,8 +207,6 @@ def validate(model: Model) -> list[Diagnostic]:
             warn(f"population {pop.name!r} has no matrix entry and will be inert")
 
     p = model.params
-    if p.lattice_side != model.lattice.side:
-        err(f"params lattice_side {p.lattice_side} does not match lattice side {model.lattice.side}")
     if not (np.isfinite(p.beta) and p.beta >= 0):
         err(f"beta must be a finite nonnegative number, got {p.beta}")
     if not 0 <= p.seed < _MAX_SEED:

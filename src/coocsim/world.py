@@ -82,7 +82,7 @@ def placement_generator(seed: int) -> np.random.Generator:
 def agent_uniforms(seed: int, tick: int, n_agents: int, first: int = 0) -> np.ndarray:
     """Uniform doubles of agents ``first`` to ``first + n_agents - 1`` for the
     move out of ``tick``. Agent i's value is a pure function of (seed, tick,
-    i), so stepping depends neither on iteration order nor on worker count.
+    i), so stepping does not depend on iteration order.
     """
     bits = np.random.Philox(np.random.SeedSequence((seed, _TICK_STREAM, tick)))
     bits.advance(first // 4)  # Philox yields 4 doubles per counter step

@@ -1,7 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
-from coocsim.cli import main
+import pytest
+
+from coocsim.cli import _build_parser, main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 TEST_DATA = Path(__file__).resolve().parent / "data"
@@ -151,6 +154,39 @@ def test_run_rejects_side_below_three_before_writing(tmp_path, capsys):
     _assert_rejected_before_output(rc, out, capsys.readouterr().err, "side")
 
 
+@pytest.mark.parametrize("below", [None, "out"])
+def test_run_out_that_is_or_lies_under_a_file_is_one_error_line(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / below if below else blocker
+    rc = run_cli("run", *_run_args(tmp_path, out))
+    assert rc == 1
+    assert blocker.read_text() == "keep\n"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+
+
+def _run_options():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices["run"]._actions for opt in action.option_strings}
+
+
+def test_run_option_set_is_pinned(tmp_path, capsys):
+    """A new `run` knob must be added here on purpose."""
+    assert _run_options() == {
+        "-h", "--help", "--rules", "--matrix", "--side", "--size", "--sizes",
+        "--steps", "--seed", "--beta", "--report-ticks", "--target",
+        "--distance", "--out", "--snapshots",
+    }
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", *_run_args(tmp_path, out), "--workers", 2)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_crowding_warning_on_stderr(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("run", *_run_args(tmp_path, out, **{"--size": 100}))
@@ -209,6 +245,17 @@ def test_gen_matrix_unknown_target(tmp_path, capsys):
                  "--rules-out", tmp_path / "r.txt", "--matrix-out", tmp_path / "m.txt")
     assert rc == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_gen_matrix_unwritable_output_is_one_error_line(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("t a\n")
+    rules_out = tmp_path / "missing" / "r.txt"
+    rc = run_cli("gen-matrix", edges, "--target", "t",
+                 "--rules-out", rules_out, "--matrix-out", tmp_path / "m.txt")
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(rules_out) in lines[0]
 
 
 def test_gen_matrix_output_feeds_run(tmp_path):

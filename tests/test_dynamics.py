@@ -363,7 +363,7 @@ def _assert_steps_match_oracle(model, seed, ticks):
     return state
 
 
-def test_step_matches_reference_on_an_extended_hub_and_ring():
+def hub_and_ring_model(**kwargs):
     """The gen-matrix shape of a real network: every ring population follows
     the hub and its ring neighbours, so field groups are shared between
     many populations."""
@@ -371,10 +371,34 @@ def test_step_matches_reference_on_an_extended_hub_and_ring():
     text = "".join(f"{name} zhub\n{name} {ring[(i + 1) % len(ring)]}\n"
                    for i, name in enumerate(ring))
     relation = build_relation_model(parse_edge_list(text), "zhub", kind="extended")
-    assert len(relation.populations) >= 30
-    model = build_model(relation.rules, relation.matrix, side=13, sizes=2, seed=21)
+    assert len(relation.populations) == 33
+    return build_model(relation.rules, relation.matrix, side=13, sizes=2, **kwargs)
+
+
+def test_step_matches_reference_on_an_extended_hub_and_ring():
+    model = hub_and_ring_model(seed=21)
     last = _assert_steps_match_oracle(model, 21, 3)
     assert 0 < last.active.sum() < last.n_agents
+
+
+def test_run_equals_a_hand_loop_of_step_on_the_hub_and_ring():
+    """``run`` reuses one rule layout for every tick; stepping by hand builds
+    one per call. Both must give the same observations and final state."""
+    model = hub_and_ring_model(seed=5, max_ticks=6)
+    observe = [lambda s, m: s.positions.copy(), lambda s, m: s.active.copy()]
+    result = run(model, report_ticks=[0, 2, 6], observers=observe, seed=5)
+    states = [initialize(model, 5)]
+    for _ in range(6):
+        states.append(step(states[-1], model, 5))
+    for tick in (0, 2, 6):
+        positions, active = result.observations[tick]
+        assert (positions == states[tick].positions).all(), f"tick {tick}"
+        assert (active == states[tick].active).all(), f"tick {tick}"
+    state = states[-1]
+    assert state.tick == result.final_state.tick == 6
+    assert (state.positions == result.final_state.positions).all()
+    assert (state.active == result.final_state.active).all()
+    assert 0 < state.active.sum() < state.n_agents
 
 
 def test_step_matches_reference_on_shared_targets_and_whole_torus_disks(monkeypatch):
@@ -438,15 +462,6 @@ def test_ranged_uniforms_are_the_slice_of_the_full_draw(seed, tick, first, k):
     ranged = agent_uniforms(seed, tick, k, first)
     assert ranged.shape == (k,)
     assert np.array_equal(ranged, agent_uniforms(seed, tick, first + k)[first:])
-
-
-def test_worker_count_does_not_change_the_result():
-    model = make_toy_model(walkers=40, particles=60, side=21, seed=13)
-    state = initialize(model, 13)
-    one = step(state, model, 13, workers=1)
-    eight = step(state, model, 13, workers=8)
-    assert (one.positions == eight.positions).all()
-    assert (one.active == eight.active).all()
 
 
 def test_inactive_agents_stay_put():

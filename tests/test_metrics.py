@@ -125,6 +125,13 @@ def test_unknown_target_raises():
         neighborhood_counts(state, "ghost", 2.0)
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, float("nan")])
+def test_non_positive_or_nan_distance_raises(d):
+    state = make_state(9, ("t", "a"), [("t", (1, 1), True), ("a", (1, 2), True)])
+    with pytest.raises(ValueError, match="positive"):
+        neighborhood_counts(state, "t", d)
+
+
 def test_average_over_non_target_populations():
     state = make_state(31, ("t", "a", "b"), [
         ("t", (5, 5), True),

@@ -37,7 +37,7 @@ def test_unknown_population_reference_is_an_error(rules_text):
             InteractionMatrixEntry("particles", "walk", 0, 0),
             InteractionMatrixEntry("particles", "cooc", 1, 1, "ghost", 2.0),
         ),
-        params=SimParams(lattice_side=31),
+        params=SimParams(),
     )
     msgs = [d.message for d in errors(validate(model))]
     assert any("ghost" in m for m in msgs)
@@ -55,7 +55,7 @@ def test_inert_population_warns(rules_text):
         populations=(PopulationSpec("a", 5), PopulationSpec("b", 5)),
         rules=tuple(parse_rules(rules_text)),
         matrix=(InteractionMatrixEntry("a", "walk", 0, 0),),
-        params=SimParams(lattice_side=9),
+        params=SimParams(),
     )
     warns = [d.message for d in warnings(validate(model))]
     assert any("inert" in m and "'b'" in m for m in warns)
@@ -67,7 +67,7 @@ def test_duplicate_names_and_bad_sizes_are_errors(rules_text):
         populations=(PopulationSpec("a", 5), PopulationSpec("a", 0)),
         rules=tuple(parse_rules(rules_text)),
         matrix=(InteractionMatrixEntry("a", "walk", 0, 0),),
-        params=SimParams(lattice_side=9),
+        params=SimParams(),
     )
     msgs = [d.message for d in errors(validate(model))]
     assert any("duplicate population" in m for m in msgs)
@@ -83,7 +83,7 @@ def test_target_and_distance_must_travel_together(rules_text):
             InteractionMatrixEntry("a", "cooc", 1, 1, "b", None),
             InteractionMatrixEntry("b", "walk", 0, 0),
         ),
-        params=SimParams(lattice_side=9),
+        params=SimParams(),
     )
     msgs = [d.message for d in errors(validate(model))]
     assert any("together" in m for m in msgs)
@@ -99,7 +99,7 @@ def test_entry_movement_compatibility(rules_text):
             InteractionMatrixEntry("a", "walk", 0, 0, "b", 2.0),   # walk with target
             InteractionMatrixEntry("b", "cooc", 1, 1),              # cooc without target
         ),
-        params=SimParams(lattice_side=9),
+        params=SimParams(),
     )
     msgs = [d.message for d in errors(validate(model))]
     assert any("targeted entries" in m for m in msgs)
@@ -124,10 +124,9 @@ def test_bad_params_are_errors(rules_text):
         populations=(PopulationSpec("a", 5),),
         rules=tuple(parse_rules(rules_text)),
         matrix=tuple(matrix),
-        params=SimParams(lattice_side=10, beta=-1.0, seed=2**64, max_ticks=-1),
+        params=SimParams(beta=-1.0, seed=2**64, max_ticks=-1),
     )
     msgs = [d.message for d in errors(validate(model))]
-    assert any("lattice_side" in m for m in msgs)
     assert any("beta" in m for m in msgs)
     assert any("seed" in m for m in msgs)
     assert any("max_ticks" in m for m in msgs)
