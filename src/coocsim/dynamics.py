@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import (
-    MOORE_OFFSETS,
     OFFSET_ARRAY,
     OFFSET_LENGTHS,
     disk_counts,
@@ -179,21 +178,35 @@ def _members(agents: np.ndarray, starts: np.ndarray, pops) -> tuple[np.ndarray, 
     return slot, agents[first + np.arange(len(slot))]
 
 
-def _linked_counts(side, agents, starts, xy, links, probes):
-    """For (population, (target, distance)) links: link slot, agent id and,
-    per probe offset, the count of target agents within distance of each
-    agent of the population moved by the offset, all positions from ``xy``."""
+def _linked_counts(side, agents, starts, xy, links, probes=None):
+    """For (population, (target, distance)) links: link slot, agent id and
+    the count of target agents within distance of each agent of the
+    population, per probe offset when ``probes`` are given (see
+    :func:`disk_counts`), all positions from ``xy``."""
     groups: dict[tuple[int, float], int] = {}
     link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links],
                           dtype=np.int64)
     point_group, points = _members(agents, starts, [target for target, _ in groups])
     slot, probed = _members(agents, starts, [pop for pop, _ in links])
-    at = (np.take(xy, probed, axis=0)[:, None, :] + probes) % side
     counts = disk_counts(
         side, [distance for _, distance in groups], point_group, np.take(xy, points, axis=0),
-        np.repeat(link_group[slot], len(probes)), at.reshape(-1, 2),
+        link_group[slot], np.take(xy, probed, axis=0), probes,
     )
-    return slot, probed, counts.reshape(len(probed), len(probes))
+    return slot, probed, counts
+
+
+def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np.ndarray:
+    """Per probe offset, the matrix-linked active neighbours of ``agent_id``
+    around ``center`` moved by the offset; the agent itself never counts."""
+    layout = _Layout(model)
+    groups = layout.field_groups[int(state.population_index[agent_id])]
+    others = state.active & (np.arange(state.n_agents) != agent_id)
+    agents, starts = _by_population(others, state.population_index, layout.n_pops)
+    point_group, points = _members(agents, starts, [target for target, _ in groups])
+    counts = disk_counts(model.lattice.side, [distance for _, distance in groups],
+                         point_group, state.positions[points],
+                         np.arange(len(groups)), np.full((len(groups), 2), center), probes)
+    return counts.sum(axis=0)
 
 
 def potential_at(candidate, agent_id: int, state: WorldState, model: Model) -> int:
@@ -203,24 +216,12 @@ def potential_at(candidate, agent_id: int, state: WorldState, model: Model) -> i
     the agent's population to T and b lies within that entry's distance of
     ``candidate``. The probing agent itself never counts.
     """
-    layout = _Layout(model)
-    groups = layout.field_groups[int(state.population_index[agent_id])]
-    others = state.active & (np.arange(state.n_agents) != agent_id)
-    agents, starts = _by_population(others, state.population_index, layout.n_pops)
-    point_group, points = _members(agents, starts, [target for target, _ in groups])
-    counts = disk_counts(model.lattice.side, [distance for _, distance in groups],
-                         point_group, state.positions[points],
-                         np.arange(len(groups)), np.full((len(groups), 2), wrap(candidate, model.lattice)))
-    return int(counts.sum())
+    return int(_field(wrap(candidate, model.lattice), agent_id, state, model, None))
 
 
 def transition_distribution(agent_id: int, state: WorldState, model: Model) -> TransitionDistribution:
     """Biased-walk law for one active agent, probing the field at r +- d."""
-    r = state.positions[agent_id]
-    h = np.array(
-        [potential_at((r[0] + dx, r[1] + dy), agent_id, state, model) for dx, dy in MOORE_OFFSETS],
-        dtype=np.int64,
-    )
+    h = _field(state.positions[agent_id], agent_id, state, model, OFFSET_ARRAY)
     # The probe at r - d is the probe at the paired opposite offset.
     probs = bias_weights(h, h[::-1], model.params.beta)
     return TransitionDistribution(probs)
@@ -286,7 +287,10 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
     move_idx[follow] = _sample_rows(probs, u[follow - first])
 
     new_pos = pos.copy()
-    new_pos[agents] = (np.take(pos, agents, 0) + np.take(OFFSET_ARRAY, move_idx[agents], 0)) % side
+    moved = (np.take(pos, agents, 0) + np.take(OFFSET_ARRAY, move_idx[agents], 0)) % side
+    # One column at a time: two 1-D scatters cost about half of one 2-D row scatter.
+    new_pos[agents, 0] = moved[:, 0]
+    new_pos[agents, 1] = moved[:, 1]
 
     # Deactivation: thresholds are checked against the post-move positions
     # of targets but their tick-t activity flags, so simultaneous freezes do
@@ -295,11 +299,11 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
     freezing = [(p, e) for p, e in enumerate(selected)
                 if e and e.deactivates and e.target is not None]
     links = [(p, (e.target, e.distance)) for p, e in freezing]
-    slot, probed, near = _linked_counts(side, agents, starts, new_pos, links, np.zeros((1, 2), np.int64))
+    slot, probed, near = _linked_counts(side, agents, starts, new_pos, links)
     self_link = np.array([p == e.target for p, e in freezing], dtype=np.int64)
     threshold = np.array([e.cardinality for _, e in freezing], dtype=np.int64)
     # An agent is not its own neighbour.
-    new_active[probed[near[:, 0] - self_link[slot] >= threshold[slot]]] = False
+    new_active[probed[near - self_link[slot] >= threshold[slot]]] = False
 
     new_pos.setflags(write=False)
     new_active.setflags(write=False)

@@ -93,38 +93,75 @@ _GRID_CELLS = 1 << 20
 _CHUNK_KEYS = 1 << 20
 
 
-def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy) -> np.ndarray:
+def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
+                probes=None) -> np.ndarray:
     """Per query, the points of the query's group within the group's radius.
 
     Group g has radius ``radii[g]``; points and queries each carry an int64
-    group index and (x, y) patch. Every point stamps its ``disk_offsets`` once
-    onto a flat grid keyed ``(group * side + x) * side + y``, and each query
-    reads its own key. A grid holds a batch of groups of one radius, at most
-    ``_GRID_CELLS`` cells, and stamps are added ``_CHUNK_KEYS`` keys at a
-    time, so memory stays bounded. Counts are exact int64.
+    group index and (x, y) patch. With a (J, 2) array of ``probes`` the
+    result is (Q, J): the count around each query's patch moved by each
+    probe offset. Without, it is the 1-D count around each query's patch.
+
+    Patches are keyed ``(group * side + x) * side + y`` on one flat grid,
+    reused for each batch of groups of one radius (at most ``_GRID_CELLS``
+    cells). A batch of P points, Q·J probed patches and k-patch disks pays
+    for its smaller side: stamping every point's disk and reading one cell
+    per probe costs P·k + Q·J, stamping each point once and summing each
+    probe's disk costs P + Q·J·k, and the first is cheaper exactly when
+    P <= Q·J. Keys are built ``_CHUNK_KEYS`` at a time on both sides and
+    only stamped cells are zeroed again, so memory stays bounded. Counts
+    are exact int64.
     """
-    counts = np.zeros(len(query_group), dtype=np.int64)
+    flat = probes is None
+    probes = _ORIGIN if flat else np.asarray(probes, dtype=np.int64) % side  # shifts in [0, side)
+    if probes.ndim != 2 or probes.shape[1] != 2 or not len(probes):
+        raise ValueError(f"probes must be a (J, 2) array with J >= 1, got shape {probes.shape}")
+    counts = np.zeros((len(query_group), len(probes)), dtype=np.int64)
     cells = side * side
     per_batch = max(1, _GRID_CELLS // cells)
     grid = np.zeros(min(len(radii), per_batch) * cells, dtype=np.int64)
     for radius in sorted(set(radii)):
-        offs = disk_offsets(side, radius)
-        chunk = max(1, _CHUNK_KEYS // len(offs))
+        disk = disk_offsets(side, radius)
         groups = [g for g, r in enumerate(radii) if r == radius]
         for b in range(0, len(groups), per_batch):
             slot = np.full(len(radii), -1, dtype=np.int64)  # place in the grid
             slot[groups[b:b + per_batch]] = np.arange(len(groups[b:b + per_batch]))
             pts = np.flatnonzero(slot[point_group] >= 0)
             qs = np.flatnonzero(slot[query_group] >= 0)
-            for lo in range(0, len(pts), chunk):
-                sel = pts[lo:lo + chunk]
-                xy = np.take(point_xy, sel, axis=0)
-                x = (xy[:, 0:1] + offs[:, 0]) % side
-                y = (xy[:, 1:2] + offs[:, 1]) % side
-                np.add.at(grid, ((slot[point_group[sel], None] * side + x) * side + y).ravel(), 1)
-            counts[qs] = grid[(slot[query_group[qs]] * side + query_xy[qs, 0]) * side + query_xy[qs, 1]]
-            grid.fill(0)
-    return counts
+            if len(pts) <= len(qs) * len(probes):
+                stamp, read = disk, probes
+            else:
+                stamp, read = _ORIGIN, (probes[:, None, :] + disk).reshape(-1, 2)
+            # Each chunk of points is stamped, read by every query and
+            # unstamped; counts add up over the chunks.
+            point_chunk = max(1, _CHUNK_KEYS // len(stamp))
+            query_chunk = max(1, _CHUNK_KEYS // len(read))
+            for lo in range(0, len(pts), point_chunk):
+                sel = pts[lo:lo + point_chunk]
+                keys = _keys(side, slot[point_group[sel]], np.take(point_xy, sel, axis=0), stamp)
+                np.add.at(grid, keys, 1)
+                for qlo in range(0, len(qs), query_chunk):
+                    q = qs[qlo:qlo + query_chunk]
+                    at = _keys(side, slot[query_group[q]], np.take(query_xy, q, axis=0), read)
+                    counts[q] += grid[at].reshape(len(probes), -1, len(q)).sum(axis=1).T
+                grid[keys] = 0
+    return counts[:, 0] if flat else counts
+
+
+_ORIGIN = np.zeros((1, 2), dtype=np.int64)
+_ORIGIN.setflags(write=False)
+
+
+def _keys(side: int, slot, xy, offsets) -> np.ndarray:
+    """Grid keys of the patches ``xy + offsets`` in grid slot ``slot``, one
+    row per offset: shape (len(offsets), len(xy)). ``take(mode="wrap")``
+    wraps a coordinate by subtracting ``side`` rather than dividing, which
+    is cheap for the offsets used here, all in [0, 2 * side)."""
+    ring = np.arange(side, dtype=np.int64)
+    keys = np.take(ring * side, offsets[:, 0:1] + xy[:, 0], mode="wrap")
+    keys += np.take(ring, offsets[:, 1:2] + xy[:, 1], mode="wrap")
+    keys += slot * (side * side)
+    return keys
 
 
 def disk_sum(grid: np.ndarray, side: int, radius: float) -> np.ndarray:

@@ -17,9 +17,10 @@ from coocsim import (
     step,
     transition_distribution,
 )
-from coocsim import lattice
+from coocsim import dynamics, lattice
 from coocsim.io import build_relation_model, parse_edge_list, parse_rules
-from coocsim.model import InteractionMatrixEntry
+from coocsim.lattice import OFFSET_ARRAY
+from coocsim.model import InteractionMatrixEntry, validate
 
 from reference import (
     make_state,
@@ -401,6 +402,24 @@ def test_run_equals_a_hand_loop_of_step_on_the_hub_and_ring():
     assert 0 < state.active.sum() < state.n_agents
 
 
+def test_transition_distribution_probes_match_the_oracle_on_the_hub_and_ring():
+    """One ``disk_counts`` call answers the 8 probes of an agent; each probe
+    count equals the loop oracle at that offset, and the distribution is the
+    one the oracle's counts give."""
+    model = hub_and_ring_model(seed=9, beta=2.0)
+    state = initialize(model, 9)
+    seen = 0
+    for agent in range(state.n_agents):
+        r = state.positions[agent]
+        h = np.array([oracle_potential((r[0] + dx, r[1] + dy), agent, state, model)
+                      for dx, dy in OFFSET_ARRAY], dtype=np.int64)
+        assert dynamics._field(r, agent, state, model, OFFSET_ARRAY).tolist() == h.tolist()
+        probs = transition_distribution(agent, state, model).probabilities
+        assert np.array_equal(probs, bias_weights(h, h[::-1], model.params.beta))
+        seen += int(h.sum())
+    assert seen > 0
+
+
 def test_step_matches_reference_on_shared_targets_and_whole_torus_disks(monkeypatch):
     """One population follows the same target at two distances, another
     population's distance covers the whole torus. Tiny grid and chunk
@@ -448,6 +467,75 @@ def test_step_matches_reference_when_the_active_ids_start_inside_a_counter_block
         assert (fast.positions == slow.positions).all(), f"tick {tick}"
         assert (fast.active == slow.active).all(), f"tick {tick}"
         state = fast
+
+
+INVARIANT_RULES = parse_rules("""
+interaction walk
+actions random-walk deactivate-none
+end
+
+interaction pull
+actions follow-path deactivate-none
+end
+
+interaction glue
+actions follow-path deactivate-source
+end
+""")
+
+
+@st.composite
+def small_worlds(draw):
+    """A random model that ``validate`` accepts, and its initial state with
+    some agents frozen. Populations of 1 to 3 agents beside ones of 40 make
+    the field and the freeze check stamp either the points or the queries."""
+    names = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    matrix = [InteractionMatrixEntry(name, "walk", 0, 0) for name in names]
+    for _ in range(draw(st.integers(0, 2 * len(names)))):
+        matrix.append(InteractionMatrixEntry(
+            draw(st.sampled_from(names)), draw(st.sampled_from(["pull", "glue"])),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2)),
+            draw(st.sampled_from(names)), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 20.0])),
+        ))
+    model = build_model(INVARIANT_RULES, matrix, side=draw(st.integers(3, 12)),
+                        sizes={name: draw(st.sampled_from([1, 2, 3, 40])) for name in names},
+                        beta=draw(st.sampled_from([0.0, 1.0, 4.0])),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    assert not [d for d in validate(model) if d.is_error]
+    state = initialize(model, model.params.seed)
+    frozen = draw(st.lists(st.booleans(), min_size=state.n_agents, max_size=state.n_agents))
+    return model, dataclasses.replace(state, active=state.active & ~np.array(frozen, dtype=bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_worlds(), st.integers(0, 2**32 - 1), st.data())
+def test_step_commutes_with_translation(world, seed, data):
+    """Moving every agent by v (mod side) moves the successor by v: the
+    field, the moves and the freezes see only wrapped differences."""
+    model, state = world
+    side = model.lattice.side
+    v = np.array([data.draw(st.integers(0, side - 1)) for _ in range(2)])
+    moved = dataclasses.replace(state, positions=(state.positions + v) % side)
+    for _ in range(2):
+        after, after_moved = step(state, model, seed), step(moved, model, seed)
+        assert np.array_equal(after_moved.positions, (after.positions + v) % side)
+        assert np.array_equal(after_moved.active, after.active)
+        state, moved = after, after_moved
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_worlds(), st.integers(0, 2**32 - 1))
+def test_step_conserves_populations_and_only_freezes(world, seed):
+    model, state = world
+    sizes = np.bincount(state.population_index, minlength=len(model.population_names))
+    for _ in range(3):
+        after = step(state, model, seed)
+        assert np.array_equal(
+            np.bincount(after.population_index, minlength=len(sizes)), sizes)
+        assert not (after.active & ~state.active).any()
+        frozen = ~state.active
+        assert np.array_equal(after.positions[frozen], state.positions[frozen])
+        state = after
 
 
 @settings(max_examples=60, deadline=None)

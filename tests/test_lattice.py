@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from coocsim import Lattice, toroidal_distance, wrap
 from coocsim import lattice
 from coocsim.lattice import MOORE_OFFSETS, disk_counts, disk_offsets, disk_sum, within_distance
+from coocsim.lattice import OFFSET_ARRAY
 
 MOORE = {(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)}
 
@@ -163,3 +164,50 @@ def test_disk_counts_without_points_or_queries():
     assert disk_counts(7, [2.0], no_group, no_xy, one_group, one_xy).tolist() == [0]
     assert disk_counts(7, [2.0], one_group, one_xy, no_group, no_xy).tolist() == []
     assert disk_counts(7, [], no_group, no_xy, no_group, no_xy).tolist() == []
+
+
+def _brute_probe_counts(side, radii, point_group, point_xy, query_group, query_xy, probes):
+    return [list(row) for row in zip(*(
+        _brute_disk_counts(side, radii, point_group, point_xy, query_group, query_xy + probe)
+        for probe in probes))]
+
+
+@pytest.mark.parametrize("grid_cells,chunk_keys", [(1 << 20, 1 << 20), (1, 5)])
+@pytest.mark.parametrize("n_points,n_queries", [(600, 10), (20, 100)])
+def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys,
+                                                         n_points, n_queries):
+    # 600 points against 10 queries stamps point occupancy and sums each
+    # probe's disk; 20 against 100 stamps point disks and reads one cell per
+    # probe. The small budgets put one group in each grid, so batches reuse
+    # a grid whose stamped cells were zeroed, and split both sides into
+    # chunks of a few keys.
+    monkeypatch.setattr(lattice, "_GRID_CELLS", grid_cells)
+    monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    rng = np.random.default_rng(n_points)
+    side = 9
+    radii = [2.0, 1.0, 2.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
+    point_group = rng.permutation(np.arange(n_points) % len(radii))
+    point_xy = rng.integers(0, side, (n_points, 2))
+    query_group = rng.permutation(np.arange(n_queries) % len(radii))
+    query_xy = rng.integers(0, side, (n_queries, 2))
+    points_per_group = np.bincount(point_group, minlength=len(radii))
+    probed_per_group = np.bincount(query_group, minlength=len(radii)) * len(OFFSET_ARRAY)
+    assert ((points_per_group > probed_per_group).all()
+            or (points_per_group <= probed_per_group).all())
+    got = disk_counts(side, radii, point_group, point_xy, query_group, query_xy, OFFSET_ARRAY)
+    assert got.dtype == np.int64
+    assert got.shape == (n_queries, len(OFFSET_ARRAY))
+    assert got.tolist() == _brute_probe_counts(side, radii, point_group, point_xy,
+                                               query_group, query_xy, OFFSET_ARRAY)
+    # The 1-D result is the count at the zero probe, either way round.
+    flat = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
+    assert flat.tolist() == _brute_disk_counts(side, radii, point_group, point_xy,
+                                               query_group, query_xy)
+
+
+@pytest.mark.parametrize("probes", [np.zeros((0, 2), dtype=np.int64), np.zeros(2, dtype=np.int64),
+                                    np.zeros((3, 3), dtype=np.int64)])
+def test_disk_counts_rejects_malformed_probes(probes):
+    one_xy, one_group = np.array([(3, 3)]), np.array([0])
+    with pytest.raises(ValueError, match="probes"):
+        disk_counts(7, [2.0], one_group, one_xy, one_group, one_xy, probes)
