@@ -5,19 +5,20 @@ Runs the 100k-agent toy model (side 301, 60 ticks, no observers) a few
 times and splits each tick's ``dynamics.step`` time into stages by timing
 the kernel's helpers from the outside:
 
-* ``field``: the first ``_linked_counts`` call of a step (the 8 probes of
-  every following agent);
-* ``deactivation``: the second ``_linked_counts`` call;
+* ``field``: the ``_linked_counts`` call with probe offsets (the 8 probes
+  of every following agent);
+* ``deactivation``: the ``_linked_counts`` call without;
 * ``move_apply``: from the return of ``_sample_rows`` to the start of the
   deactivation call (writing the moved positions);
 * ``other``: the rest of the step (uniforms, selection, walk draws, move
   sampling).
 
-Ticks are grouped as tick 0 (every agent active), ticks 1-6 (particles
-freezing) and walk-only ticks (no agent follows a field). Each number is
-the median over the repeats of the group's summed seconds. Prints JSON.
-The defaults are the first program seed of the benchmark's dense_freeze
-workload at workload seed 1 and its walker count.
+A stage the step skipped counts as 0 s. Ticks are grouped as tick 0
+(every agent active), ticks 1-6 (particles freezing) and walk-only ticks
+(no field call). Each number is the median over the repeats of the
+group's summed seconds. Prints JSON. The defaults are the first program
+seed of the benchmark's dense_freeze workload at workload seed 1 and its
+walker count.
 
     PYTHONPATH=src python3 scripts/stage_split.py --repeats 7
 """
@@ -42,13 +43,13 @@ def _instrument(ticks: list[dict]) -> None:
     now = time.perf_counter
     marks: dict = {}
 
-    def timed_linked_counts(side, agents, starts, xy, links, *rest):
+    def timed_linked_counts(side, starts, xy, links, probes=None):
         start = now()
-        if "field" in marks:
+        stage = "deactivation" if probes is None else "field"
+        if stage == "deactivation" and "sampled" in marks:
             marks["move_apply"] = start - marks.pop("sampled")
-        out = linked_counts(side, agents, starts, xy, links, *rest)
-        marks["deactivation" if "field" in marks else "field"] = now() - start
-        marks.setdefault("walk_only", not links)
+        out = linked_counts(side, starts, xy, links, probes)
+        marks[stage] = now() - start
         return out
 
     def timed_sample_rows(probs, u):
@@ -61,21 +62,21 @@ def _instrument(ticks: list[dict]) -> None:
         start = now()
         out = step(state, *args, **kwargs)
         total = now() - start
-        row = {name: marks[name] for name in STAGES[:3]}
+        row = {name: marks.get(name, 0.0) for name in STAGES[:3]}
         row["other"] = total - sum(row.values())
-        ticks.append(dict(row, tick=state.tick, total=total, walk_only=marks["walk_only"]))
+        ticks.append(dict(row, tick=state.tick, total=total, walk_only="field" not in marks))
         return out
 
     dynamics.step, dynamics._linked_counts, dynamics._sample_rows = (
         timed_step, timed_linked_counts, timed_sample_rows)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=3620304598)
     ap.add_argument("--walkers", type=int, default=19622)
     ap.add_argument("--repeats", type=int, default=5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rules = parse_rules((DATA / "rules.txt").read_text())
     matrix = parse_matrix((DATA / "matrix_toy.txt").read_text())

@@ -58,11 +58,17 @@ def bias_weights(h_plus: np.ndarray, h_minus: np.ndarray, beta: float) -> np.nda
     and the row renormalises; an all-zero row falls back to uniform.
     Accepts a single 8-vector pair or batches with a trailing axis of 8.
     """
-    raw = 0.125 * (1.0 + beta * (h_plus - h_minus) * _INV_TWO_LEN)
-    raw = np.maximum(raw, 0.0)
+    # In place on one float array, in the order of the formula above.
+    raw = np.subtract(h_plus, h_minus, dtype=float)
+    raw *= beta
+    raw *= _INV_TWO_LEN
+    raw += 1.0
+    raw *= 0.125
+    np.maximum(raw, 0.0, out=raw)
     total = raw.sum(axis=-1, keepdims=True)
-    safe = np.where(total > 0.0, total, 1.0)
-    return np.where(total > 0.0, raw / safe, 0.125)
+    raw /= np.where(total > 0.0, total, 1.0)
+    np.copyto(raw, 0.125, where=~(total > 0.0))
+    return raw
 
 
 def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -163,31 +169,36 @@ class _Layout:
 
 
 def _by_population(mask: np.ndarray, pop_index: np.ndarray, n_pops: int):
-    """Masked agent ids sorted by population, and each population's start."""
+    """Masked agent ids in population order, and each population's start.
+    Ids from ``initialize`` already are; only others are sorted."""
     agents = np.flatnonzero(mask)
-    agents = agents[np.argsort(pop_index[agents], kind="stable")]
-    return agents, np.concatenate(([0], np.cumsum(np.bincount(pop_index[agents], minlength=n_pops))))
+    pops = pop_index[agents]
+    if (pops[1:] < pops[:-1]).any():
+        order = np.argsort(pops, kind="stable")
+        agents, pops = agents[order], pops[order]
+    return agents, np.searchsorted(pops, np.arange(n_pops + 1))
 
 
-def _members(agents: np.ndarray, starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
-    """Place in ``pops`` and agent id of every agent of the listed populations."""
+def _members(starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
+    """Place in ``pops`` and row (in population order) of every agent of the
+    listed populations."""
     pops = np.asarray(pops, dtype=np.int64)
     lengths = starts[pops + 1] - starts[pops]
     slot = np.repeat(np.arange(len(pops)), lengths)
     first = np.repeat(starts[pops] + lengths - np.cumsum(lengths), lengths)
-    return slot, agents[first + np.arange(len(slot))]
+    return slot, first + np.arange(len(slot))
 
 
-def _linked_counts(side, agents, starts, xy, links, probes=None):
-    """For (population, (target, distance)) links: link slot, agent id and
-    the count of target agents within distance of each agent of the
-    population, per probe offset when ``probes`` are given (see
-    :func:`disk_counts`), all positions from ``xy``."""
+def _linked_counts(side, starts, xy, links, probes=None):
+    """For (population, (target, distance)) links: link slot, row and the
+    count of target agents within distance of each agent of the population,
+    per probe offset when ``probes`` are given (see :func:`disk_counts`).
+    ``xy`` holds one position per row, rows in population order."""
     groups: dict[tuple[int, float], int] = {}
     link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links],
                           dtype=np.int64)
-    point_group, points = _members(agents, starts, [target for target, _ in groups])
-    slot, probed = _members(agents, starts, [pop for pop, _ in links])
+    point_group, points = _members(starts, [target for target, _ in groups])
+    slot, probed = _members(starts, [pop for pop, _ in links])
     counts = disk_counts(
         side, [distance for _, distance in groups], point_group, np.take(xy, points, axis=0),
         link_group[slot], np.take(xy, probed, axis=0), probes,
@@ -202,9 +213,9 @@ def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np
     groups = layout.field_groups[int(state.population_index[agent_id])]
     others = state.active & (np.arange(state.n_agents) != agent_id)
     agents, starts = _by_population(others, state.population_index, layout.n_pops)
-    point_group, points = _members(agents, starts, [target for target, _ in groups])
+    point_group, points = _members(starts, [target for target, _ in groups])
     counts = disk_counts(model.lattice.side, [distance for _, distance in groups],
-                         point_group, state.positions[points],
+                         point_group, state.positions[agents[points]],
                          np.arange(len(groups)), np.full((len(groups), 2), center), probes)
     return counts.sum(axis=0)
 
@@ -254,40 +265,43 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
         layout = _Layout(model)
     side = model.lattice.side
     n_pops = layout.n_pops
-    n = state.n_agents
     pos = state.positions
     pop_index = state.population_index
     active = state.active
 
+    # Per-tick work arrays have one row per active agent, in population order.
     agents, starts = _by_population(active, pop_index, n_pops)
     counts = np.diff(starts)
     first, last = (int(agents.min()), int(agents.max()) + 1) if len(agents) else (0, 0)
-    u = agent_uniforms(rng_root, state.tick, last - first, first)  # agent i's is u[i - first]
+    u = np.take(agent_uniforms(rng_root, state.tick, last - first, first), agents - first)
+    xy = np.take(pos, agents, 0)
 
     selected = [layout.select(p, counts) if counts[p] else None for p in range(n_pops)]
     follow_pops = [p for p, e in enumerate(selected) if e and e.movement == FOLLOW_PATH]
-    walk_pops = [p for p, e in enumerate(selected) if e and e.movement != FOLLOW_PATH]
-    move_idx = np.zeros(n, dtype=np.int64)
-    _, walkers = _members(agents, starts, walk_pops)
-    move_idx[walkers] = np.minimum((u[walkers - first] * 8.0).astype(np.int64), 7)
+    # Every row gets the walk draw; the rows of followers are overwritten.
+    move_idx = np.minimum((u * 8.0).astype(np.int64), 7)
 
     # Interaction field at the 8 probes of every following agent: the sum,
     # over its population's field groups, of the tick-t active agents of the
     # group's target within the group's distance.
-    _, follow = _members(agents, starts, follow_pops)
-    links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
-    _, probed, linked = _linked_counts(side, agents, starts, pos, links, OFFSET_ARRAY)
-    rank = np.empty(n, dtype=np.int64)  # row of each following agent in h
-    rank[follow] = np.arange(len(follow))
-    h = np.zeros((len(follow), 8), dtype=np.int64)
-    np.add.at(h, rank[probed], linked)
-    # Self-contributions of a self-linking entry cancel between the +d and
-    # -d probes, so the raw counts are already correct.
-    probs = bias_weights(h, h[:, ::-1], model.params.beta)
-    move_idx[follow] = _sample_rows(probs, u[follow - first])
+    if follow_pops:
+        _, follow = _members(starts, follow_pops)
+        links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
+        _, probed, h = _linked_counts(side, starts, xy, links, OFFSET_ARRAY)
+        if len(links) > len(follow_pops):  # several groups: add each row's links
+            rank = np.empty(len(agents), dtype=np.int64)  # row of each follower in h
+            rank[follow] = np.arange(len(follow))
+            keys = (rank[probed, None] * 8 + np.arange(8)).ravel()
+            h = np.bincount(keys, h.ravel(), len(follow) * 8).astype(np.int64).reshape(-1, 8)
+        # Self-contributions of a self-linking entry cancel between the +d and
+        # -d probes, so the raw counts are already correct.
+        probs = bias_weights(h, h[:, ::-1], model.params.beta)
+        move_idx[follow] = _sample_rows(probs, u[follow])
 
     new_pos = pos.copy()
-    moved = (np.take(pos, agents, 0) + np.take(OFFSET_ARRAY, move_idx[agents], 0)) % side
+    # Offsets are -1, 0 or 1, so a table wraps x + d, read at x + d + 1.
+    wrapped = np.arange(-1, side + 1) % side
+    moved = np.take(wrapped, xy + np.take(OFFSET_ARRAY + 1, move_idx, 0))
     # One column at a time: two 1-D scatters cost about half of one 2-D row scatter.
     new_pos[agents, 0] = moved[:, 0]
     new_pos[agents, 1] = moved[:, 1]
@@ -298,12 +312,13 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
     new_active = active.copy()
     freezing = [(p, e) for p, e in enumerate(selected)
                 if e and e.deactivates and e.target is not None]
-    links = [(p, (e.target, e.distance)) for p, e in freezing]
-    slot, probed, near = _linked_counts(side, agents, starts, new_pos, links)
-    self_link = np.array([p == e.target for p, e in freezing], dtype=np.int64)
-    threshold = np.array([e.cardinality for _, e in freezing], dtype=np.int64)
-    # An agent is not its own neighbour.
-    new_active[probed[near - self_link[slot] >= threshold[slot]]] = False
+    if freezing:
+        links = [(p, (e.target, e.distance)) for p, e in freezing]
+        slot, probed, near = _linked_counts(side, starts, moved, links)
+        self_link = np.array([p == e.target for p, e in freezing], dtype=np.int64)
+        threshold = np.array([e.cardinality for _, e in freezing], dtype=np.int64)
+        # An agent is not its own neighbour.
+        new_active[agents[probed[near - self_link[slot] >= threshold[slot]]]] = False
 
     new_pos.setflags(write=False)
     new_active.setflags(write=False)

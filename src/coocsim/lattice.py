@@ -143,7 +143,8 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
                 for qlo in range(0, len(qs), query_chunk):
                     q = qs[qlo:qlo + query_chunk]
                     at = _keys(side, slot[query_group[q]], np.take(query_xy, q, axis=0), read)
-                    counts[q] += grid[at].reshape(len(probes), -1, len(q)).sum(axis=1).T
+                    rows = slice(None) if len(q) == len(counts) else q  # every query: add in place
+                    counts[rows] += grid[at].reshape(len(probes), -1, len(q)).sum(axis=1).T
                 grid[keys] = 0
     return counts[:, 0] if flat else counts
 

@@ -469,6 +469,76 @@ def test_step_matches_reference_when_the_active_ids_start_inside_a_counter_block
         state = fast
 
 
+def test_step_matches_reference_on_rows_out_of_population_order():
+    """Agent rows in a random permutation of population order, some frozen:
+    ``step`` sorts the active ids by population and still matches the
+    oracle."""
+    model = make_toy_model(walkers=20, particles=30, side=13, seed=4)
+    start = initialize(model, 4)
+    rng = np.random.default_rng(8)
+    order = rng.permutation(start.n_agents)
+    active = start.active[order].copy()
+    active[rng.choice(start.n_agents, size=8, replace=False)] = False
+    state = dataclasses.replace(start, population_index=start.population_index[order],
+                                positions=start.positions[order], active=active)
+    pops = state.population_index[state.active]
+    assert (pops[1:] < pops[:-1]).any()
+    for tick in range(3):
+        fast = step(state, model, 4)
+        slow = oracle_step(state, model, 4)
+        assert (fast.positions == slow.positions).all(), f"tick {tick}"
+        assert (fast.active == slow.active).all(), f"tick {tick}"
+        state = fast
+
+
+def _spy_linked_counts(monkeypatch):
+    """Record the links and whether probes were given of every
+    ``_linked_counts`` call that ``step`` makes."""
+    calls = []
+    linked_counts = dynamics._linked_counts
+
+    def spy(side, starts, xy, links, probes=None):
+        calls.append((list(links), probes is not None))
+        return linked_counts(side, starts, xy, links, probes)
+
+    monkeypatch.setattr(dynamics, "_linked_counts", spy)
+    return calls
+
+
+def test_a_walk_only_tick_counts_no_field_and_no_freeze(monkeypatch):
+    calls = _spy_linked_counts(monkeypatch)
+    model = make_walk_model(n_agents=50, side=11, seed=2)
+    state = step(initialize(model, 2), model, 2)
+    assert calls == []
+    assert state.active.all()
+
+
+def test_a_follow_tick_without_a_freezing_entry_counts_only_the_field(monkeypatch):
+    calls = _spy_linked_counts(monkeypatch)
+    model = chase_model(seed=6)
+    step(initialize(model, 6), model, 6)
+    chaser, beacon = (model.population_names.index(name) for name in ("chaser", "beacon"))
+    assert calls == [([(chaser, (beacon, 2.5))], True)]
+
+
+@pytest.mark.parametrize("several_groups", [True, False])
+def test_both_ways_of_building_the_field_rows_match_the_oracle(monkeypatch, several_groups):
+    """On the hub and ring a ring population follows up to three field
+    groups, so each follower's rows are added up; in the toy model each
+    follower has one group, and the counts are the field rows as they come."""
+    calls = _spy_linked_counts(monkeypatch)
+    if several_groups:
+        model, seed = hub_and_ring_model(seed=21), 21
+    else:
+        model, seed = make_toy_model(walkers=30, particles=40, side=15, seed=3), 3
+    _assert_steps_match_oracle(model, seed, 3)
+    fields = [links for links, probed in calls if probed]
+    assert len(fields) == 3
+    for links in fields:
+        followers = {pop for pop, _ in links}
+        assert (len(links) > len(followers)) == several_groups
+
+
 INVARIANT_RULES = parse_rules("""
 interaction walk
 actions random-walk deactivate-none
