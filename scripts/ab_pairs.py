@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Alternating A/B pairs of ``perfbench/bench.py`` between two checkouts.
+
+For each workload seed, runs the benchmark once in the parent checkout and
+once in the change checkout, each from the root of its own checkout with
+identical settings. Odd seeds run the parent first, even seeds the change
+first, so a drift of the host's speed does not favour one side. Prints one
+line per run on stderr and, on stdout, one JSON object with every pair, the
+change's wins (ties count for neither side), and each side's median and
+quartiles of the calibrated ``wall_s``:
+
+    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload dense_freeze \\
+        --seeds 1-10 --seconds 35
+
+A gain may be claimed when the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"1-10"`` or ``"1,4099"`` (or a mix) as a list of seeds."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def summarize(runs: dict[int, dict[str, float]]) -> dict:
+    """Wins of the change (a lower value wins) and each side's median and
+    quartiles, rounded to 4 decimals, from ``{seed: {"parent": s, "change": s}}``."""
+    out: dict = {"runs": {str(seed): pair for seed, pair in runs.items()},
+                 "change_wins": sum(pair["change"] < pair["parent"] for pair in runs.values())}
+    for side in ("parent", "change"):
+        values = [pair[side] for pair in runs.values()]
+        out[f"{side}_median"] = round(statistics.median(values), 4)
+        out[f"{side}_quartiles"] = [round(q, 4) for q in statistics.quantiles(values, n=4)[::2]]
+    return out
+
+
+def wall_s(checkout: Path, workload: str, seed: int, seconds: float) -> float:
+    """One ``bench.py`` run in ``checkout``: its ``wall_s``, after checking
+    that every output was correct and no invocation failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{checkout}: seed {seed}: incorrect outputs or failed invocations")
+    return result["metrics"]["wall_s"]["value"]
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", default="1-10", help='e.g. "1-10" or "1,4099"')
+    ap.add_argument("--seconds", type=float, default=35)
+    args = ap.parse_args(argv)
+
+    runs: dict[int, dict[str, float]] = {}
+    for seed in parse_seeds(args.seeds):
+        got = {}
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            got[side] = round(wall_s(getattr(args, side), args.workload, seed, args.seconds), 4)
+            print(f"seed {seed} {side}: wall_s {got[side]}", file=sys.stderr)
+        runs[seed] = {"parent": got["parent"], "change": got["change"]}
+    how = (f"workload seeds {args.seeds}, one {args.seconds:g} s run per side and seed; "
+           "odd seeds ran the parent first, even seeds the change first")
+    print(json.dumps({"how": how, **summarize(runs)}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,13 +5,14 @@ Runs the 100k-agent toy model (side 301, 60 ticks, no observers) a few
 times and splits each tick's ``dynamics.step`` time into stages by timing
 the kernel's helpers from the outside:
 
+* ``uniforms``: the ``agent_uniforms`` call (the tick's move draws);
 * ``field``: the ``_linked_counts`` call with probe offsets (the 8 probes
   of every following agent);
 * ``deactivation``: the ``_linked_counts`` call without;
 * ``move_apply``: from the return of ``_sample_rows`` to the start of the
   deactivation call (writing the moved positions);
-* ``other``: the rest of the step (uniforms, selection, walk draws, move
-  sampling).
+* ``other``: the rest of the step (finding the active rows, selection,
+  walk draws, move sampling).
 
 A stage the step skipped counts as 0 s. Ticks are grouped as tick 0
 (every agent active), ticks 1-6 (particles freezing) and walk-only ticks
@@ -33,15 +34,23 @@ from coocsim import build_model, dynamics
 from coocsim.io import parse_matrix, parse_rules
 
 DATA = Path(__file__).resolve().parents[1] / "data"
-STAGES = ("field", "deactivation", "move_apply", "other")
+STAGES = ("uniforms", "field", "deactivation", "move_apply", "other")
+#: The functions of ``dynamics`` that the split wraps.
+WRAPPED = ("step", "agent_uniforms", "_linked_counts", "_sample_rows")
 
 
 def _instrument(ticks: list[dict]) -> None:
-    """Wrap ``step``, ``_linked_counts`` and ``_sample_rows`` in ``dynamics``
-    so that every step appends its per-stage seconds to ``ticks``."""
-    step, linked_counts, sample_rows = dynamics.step, dynamics._linked_counts, dynamics._sample_rows
+    """Wrap the ``WRAPPED`` functions of ``dynamics`` so that every step
+    appends its per-stage seconds to ``ticks``."""
+    step, uniforms, linked_counts, sample_rows = (getattr(dynamics, name) for name in WRAPPED)
     now = time.perf_counter
     marks: dict = {}
+
+    def timed_uniforms(*args):
+        start = now()
+        out = uniforms(*args)
+        marks["uniforms"] = now() - start
+        return out
 
     def timed_linked_counts(side, starts, xy, links, probes=None):
         start = now()
@@ -62,13 +71,17 @@ def _instrument(ticks: list[dict]) -> None:
         start = now()
         out = step(state, *args, **kwargs)
         total = now() - start
-        row = {name: marks.get(name, 0.0) for name in STAGES[:3]}
+        row = {name: marks.get(name, 0.0) for name in STAGES[:-1]}
         row["other"] = total - sum(row.values())
         ticks.append(dict(row, tick=state.tick, total=total, walk_only="field" not in marks))
         return out
 
-    dynamics.step, dynamics._linked_counts, dynamics._sample_rows = (
-        timed_step, timed_linked_counts, timed_sample_rows)
+    _install((timed_step, timed_uniforms, timed_linked_counts, timed_sample_rows))
+
+
+def _install(functions) -> None:
+    for name, function in zip(WRAPPED, functions):
+        setattr(dynamics, name, function)
 
 
 def main(argv=None) -> None:
@@ -88,7 +101,7 @@ def main(argv=None) -> None:
         "walk_only_ticks": lambda t: t["walk_only"],
         "all_ticks": lambda t: True,
     }
-    original = dynamics.step, dynamics._linked_counts, dynamics._sample_rows
+    original = tuple(getattr(dynamics, name) for name in WRAPPED)
     runs = []
     for _ in range(args.repeats):
         ticks: list[dict] = []
@@ -96,7 +109,7 @@ def main(argv=None) -> None:
         try:
             dynamics.run(model)
         finally:
-            dynamics.step, dynamics._linked_counts, dynamics._sample_rows = original
+            _install(original)
         runs.append(ticks)
     out = {"seed": args.seed, "walkers": args.walkers, "repeats": args.repeats,
            "walk_only_tick_count": sum(t["walk_only"] for t in runs[0])}

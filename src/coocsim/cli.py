@@ -138,6 +138,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run(model, report_ticks=ticks, observers=[write_outputs])
     except ConfigurationFault as exc:
         raise CliError(str(exc)) from exc
+    except MemoryError as exc:
+        raise CliError(f"out of memory during the run (--side {args.side}): {exc}") from exc
 
     crowding = crowding_indices(model.lattice, sum(p.size for p in model.populations))
     meta = {

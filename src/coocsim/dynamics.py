@@ -56,7 +56,7 @@ def bias_weights(h_plus: np.ndarray, h_minus: np.ndarray, beta: float) -> np.nda
     Raw weight per direction is (1/8) * (1 + beta * (h+ - h-) / |2d|).
     Negative raw weights (large beta against a steep field) clamp to zero
     and the row renormalises; an all-zero row falls back to uniform.
-    Accepts a single 8-vector pair or batches with a trailing axis of 8.
+    Accepts a single 8-vector pair or batches with a trailing axis of 8, in any layout.
     """
     # In place on one float array, in the order of the formula above.
     raw = np.subtract(h_plus, h_minus, dtype=float)
@@ -65,16 +65,22 @@ def bias_weights(h_plus: np.ndarray, h_minus: np.ndarray, beta: float) -> np.nda
     raw += 1.0
     raw *= 0.125
     np.maximum(raw, 0.0, out=raw)
-    total = raw.sum(axis=-1, keepdims=True)
+    # numpy's pairwise order for a row of 8, ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), in any layout.
+    total = raw[..., 0::2] + raw[..., 1::2]
+    total = total[..., 0::2] + total[..., 1::2]
+    total = total[..., :1] + total[..., 1:]
     raw /= np.where(total > 0.0, total, 1.0)
     np.copyto(raw, 0.125, where=~(total > 0.0))
     return raw
 
 
 def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Invert each row's CDF at the matching uniform draw."""
-    cum = np.cumsum(probs, axis=-1)
-    return np.minimum((cum < u[..., None]).sum(axis=-1), 7)
+    """Invert each row's CDF at its draw: how many of the first 7 running sums are below it."""
+    cum = np.empty((7,) + np.shape(u))
+    cum[0] = probs[..., 0]
+    for k in range(1, 7):
+        np.add(cum[k - 1], probs[..., k], out=cum[k])
+    return (cum < u).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -270,11 +276,18 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
     active = state.active
 
     # Per-tick work arrays have one row per active agent, in population order.
-    agents, starts = _by_population(active, pop_index, n_pops)
+    n, first = int(np.count_nonzero(active)), int(np.argmax(active))
+    last = len(active) - int(np.argmax(active[::-1])) if n else first
+    u = agent_uniforms(rng_root, state.tick, last - first, first)
+    pops = pop_index[first:last]
+    run_path = last - first == n and not (pops[1:] < pops[:-1]).any()
+    if run_path:  # the active ids are the run [first, last) in population order
+        agents, xy = slice(first, last), pos[first:last]
+        starts = np.searchsorted(pops, np.arange(n_pops + 1))
+    else:
+        agents, starts = _by_population(active, pop_index, n_pops)
+        u, xy = np.take(u, agents - first), np.take(pos, agents, 0)
     counts = np.diff(starts)
-    first, last = (int(agents.min()), int(agents.max()) + 1) if len(agents) else (0, 0)
-    u = np.take(agent_uniforms(rng_root, state.tick, last - first, first), agents - first)
-    xy = np.take(pos, agents, 0)
 
     selected = [layout.select(p, counts) if counts[p] else None for p in range(n_pops)]
     follow_pops = [p for p, e in enumerate(selected) if e and e.movement == FOLLOW_PATH]
@@ -283,16 +296,16 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
 
     # Interaction field at the 8 probes of every following agent: the sum,
     # over its population's field groups, of the tick-t active agents of the
-    # group's target within the group's distance.
+    # group's target within the group's distance. ``h``'s memory is probe-major.
     if follow_pops:
         _, follow = _members(starts, follow_pops)
         links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
         _, probed, h = _linked_counts(side, starts, xy, links, OFFSET_ARRAY)
         if len(links) > len(follow_pops):  # several groups: add each row's links
-            rank = np.empty(len(agents), dtype=np.int64)  # row of each follower in h
+            rank = np.empty(n, dtype=np.int64)  # row of each follower in h
             rank[follow] = np.arange(len(follow))
-            keys = (rank[probed, None] * 8 + np.arange(8)).ravel()
-            h = np.bincount(keys, h.ravel(), len(follow) * 8).astype(np.int64).reshape(-1, 8)
+            keys = (np.arange(8)[:, None] * len(follow) + rank[probed]).ravel()
+            h = np.bincount(keys, h.T.ravel(), 8 * len(follow)).astype(np.int64).reshape(8, -1).T
         # Self-contributions of a self-linking entry cancel between the +d and
         # -d probes, so the raw counts are already correct.
         probs = bias_weights(h, h[:, ::-1], model.params.beta)
@@ -302,9 +315,10 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
     # Offsets are -1, 0 or 1, so a table wraps x + d, read at x + d + 1.
     wrapped = np.arange(-1, side + 1) % side
     moved = np.take(wrapped, xy + np.take(OFFSET_ARRAY + 1, move_idx, 0))
-    # One column at a time: two 1-D scatters cost about half of one 2-D row scatter.
-    new_pos[agents, 0] = moved[:, 0]
-    new_pos[agents, 1] = moved[:, 1]
+    if run_path:
+        new_pos[agents] = moved
+    else:  # two 1-D column scatters cost about half of one 2-D row scatter
+        new_pos[agents, 0], new_pos[agents, 1] = moved.T
 
     # Deactivation: thresholds are checked against the post-move positions
     # of targets but their tick-t activity flags, so simultaneous freezes do
@@ -318,7 +332,8 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
         self_link = np.array([p == e.target for p, e in freezing], dtype=np.int64)
         threshold = np.array([e.cardinality for _, e in freezing], dtype=np.int64)
         # An agent is not its own neighbour.
-        new_active[agents[probed[near - self_link[slot] >= threshold[slot]]]] = False
+        rows = probed[near - self_link[slot] >= threshold[slot]]
+        new_active[first + rows if run_path else agents[rows]] = False
 
     new_pos.setflags(write=False)
     new_active.setflags(write=False)

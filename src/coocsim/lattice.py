@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,12 +78,12 @@ def within_distance(a, b, side: int, radius: float) -> bool:
 def disk_offsets(side: int, radius: float) -> np.ndarray:
     """Patch offsets within toroidal distance ``radius`` of a patch.
 
-    Returned as an (k, 2) array of roll shifts in [0, side); each reachable
-    patch appears exactly once even when the disk wraps around the world.
+    Returned as an (k, 2) array of signed shifts of at most ``side // 2``
+    per axis; each reachable patch appears exactly once even when the disk
+    wraps around the world.
     """
-    ring = np.arange(side, dtype=np.int64)
-    sq = np.minimum(ring, side - ring) ** 2
-    out = np.argwhere(sq[:, None] + sq[None, :] <= radius * radius)
+    ring = np.arange(side, dtype=np.int64) - side // 2  # every shift once, toroidal length |shift|
+    out = np.argwhere(ring[:, None] ** 2 + ring ** 2 <= radius * radius) - side // 2
     out.setflags(write=False)
     return out
 
@@ -98,9 +99,9 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     """Per query, the points of the query's group within the group's radius.
 
     Group g has radius ``radii[g]``; points and queries each carry an int64
-    group index and (x, y) patch. With a (J, 2) array of ``probes`` the
-    result is (Q, J): the count around each query's patch moved by each
-    probe offset. Without, it is the 1-D count around each query's patch.
+    group index and (x, y) patch. With a (J, 2) array of ``probes`` the result
+    is (Q, J), a transposed view of probe-major counts: the count around each
+    query's patch moved by each probe offset. Without, it is 1-D, per query.
 
     Patches are keyed ``(group * side + x) * side + y`` on one flat grid,
     reused for each batch of groups of one radius (at most ``_GRID_CELLS``
@@ -113,11 +114,11 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     are exact int64.
     """
     flat = probes is None
-    probes = _ORIGIN if flat else np.asarray(probes, dtype=np.int64) % side  # shifts in [0, side)
+    cells, half = side * side, side // 2  # shifts are signed, as from ``disk_offsets``
+    probes = _ORIGIN if flat else (np.asarray(probes, dtype=np.int64) + half) % side - half
     if probes.ndim != 2 or probes.shape[1] != 2 or not len(probes):
         raise ValueError(f"probes must be a (J, 2) array with J >= 1, got shape {probes.shape}")
-    counts = np.zeros((len(query_group), len(probes)), dtype=np.int64)
-    cells = side * side
+    counts = np.zeros((len(probes), len(query_group)), dtype=np.int64)  # probe-major
     per_batch = max(1, _GRID_CELLS // cells)
     grid = np.zeros(min(len(radii), per_batch) * cells, dtype=np.int64)
     for radius in sorted(set(radii)):
@@ -131,11 +132,10 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
             if len(pts) <= len(qs) * len(probes):
                 stamp, read = disk, probes
             else:
-                stamp, read = _ORIGIN, (probes[:, None, :] + disk).reshape(-1, 2)
+                stamp, read = _ORIGIN, (probes[:, None] + disk + half).reshape(-1, 2) % side - half
             # Each chunk of points is stamped, read by every query and
             # unstamped; counts add up over the chunks.
-            point_chunk = max(1, _CHUNK_KEYS // len(stamp))
-            query_chunk = max(1, _CHUNK_KEYS // len(read))
+            point_chunk, query_chunk = _CHUNK_KEYS // len(stamp) or 1, _CHUNK_KEYS // len(read) or 1
             for lo in range(0, len(pts), point_chunk):
                 sel = pts[lo:lo + point_chunk]
                 keys = _keys(side, slot[point_group[sel]], np.take(point_xy, sel, axis=0), stamp)
@@ -143,24 +143,37 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
                 for qlo in range(0, len(qs), query_chunk):
                     q = qs[qlo:qlo + query_chunk]
                     at = _keys(side, slot[query_group[q]], np.take(query_xy, q, axis=0), read)
-                    rows = slice(None) if len(q) == len(counts) else q  # every query: add in place
-                    counts[rows] += grid[at].reshape(len(probes), -1, len(q)).sum(axis=1).T
+                    got = grid[at] if len(read) == len(probes) else (  # a cell or a disk per probe
+                        grid[at].reshape(len(probes), -1, len(q)).sum(axis=1))
+                    rows = q if len(q) < counts.shape[1] else slice(None)  # all queries: in place
+                    counts[:, rows] += got
                 grid[keys] = 0
-    return counts[:, 0] if flat else counts
+    return counts[0] if flat else counts.T
 
 
 _ORIGIN = np.zeros((1, 2), dtype=np.int64)
 _ORIGIN.setflags(write=False)
 
 
-def _keys(side: int, slot, xy, offsets) -> np.ndarray:
-    """Grid keys of the patches ``xy + offsets`` in grid slot ``slot``, one
-    row per offset: shape (len(offsets), len(xy)). ``take(mode="wrap")``
-    wraps a coordinate by subtracting ``side`` rather than dividing, which
-    is cheap for the offsets used here, all in [0, 2 * side)."""
-    ring = np.arange(side, dtype=np.int64)
-    keys = np.take(ring * side, offsets[:, 0:1] + xy[:, 0], mode="wrap")
-    keys += np.take(ring, offsets[:, 1:2] + xy[:, 1], mode="wrap")
+@lru_cache(maxsize=16)
+def _wrap_table(side: int, pad: int) -> np.ndarray:
+    """Grid key of each patch of the world padded by ``pad`` on every side, in mapped
+    memory: a long-lived table in the heap splits the space big temporaries reuse."""
+    ring = np.arange(-pad, side + pad, dtype=np.int64) % side
+    table = np.frombuffer(mmap.mmap(-1, 8 * len(ring) ** 2), dtype=np.int64)
+    np.add(ring[:, None] * side, ring, out=table.reshape(len(ring), -1))
+    table.setflags(write=False)
+    return table
+
+
+def _keys(side: int, slot, xy, shift) -> np.ndarray:
+    """Grid keys of the patches ``xy + shift`` in grid slot ``slot``, one row
+    per shift: shape (len(shift), len(xy)). Signed shifts index one wrap
+    table padded by the largest: one add and one take per key."""
+    pad = int(np.abs(shift).max())
+    width = side + 2 * pad
+    at = (shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))) + (xy[:, 0] * width + xy[:, 1])
+    keys = np.take(_wrap_table(side, pad), at)
     keys += slot * (side * side)
     return keys
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from coocsim import cli
 from coocsim.cli import _build_parser, main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -164,6 +165,20 @@ def test_run_out_that_is_or_lies_under_a_file_is_one_error_line(tmp_path, capsys
     assert blocker.read_text() == "keep\n"
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+
+
+def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A side too large for the report grid runs out of memory inside the
+    run; the CLI reports it as one error line, not a traceback."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "neighborhood_counts", no_memory)
+    rc = run_cli("run", *_run_args(tmp_path, tmp_path / "out"))
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+    assert "74.5 GiB" in lines[0]
 
 
 def _run_options():

@@ -199,6 +199,74 @@ def test_bias_weights_always_a_distribution(seed, beta):
     assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
+def _row_major_bias_weights(h_plus, h_minus, beta):
+    """The move law as first written, on rows: ``sum(axis=-1)`` takes
+    numpy's pairwise order on a contiguous row of 8."""
+    raw = np.subtract(h_plus, h_minus, dtype=float)
+    raw *= beta
+    raw *= 1.0 / (2.0 * np.hypot(OFFSET_ARRAY[:, 0], OFFSET_ARRAY[:, 1]))
+    raw += 1.0
+    raw *= 0.125
+    np.maximum(raw, 0.0, out=raw)
+    total = np.ascontiguousarray(raw).sum(axis=-1, keepdims=True)
+    raw /= np.where(total > 0.0, total, 1.0)
+    np.copyto(raw, 0.125, where=~(total > 0.0))
+    return raw
+
+
+def _row_major_sample_rows(probs, u):
+    cum = np.cumsum(probs, axis=-1)
+    return np.minimum((cum < u[..., None]).sum(axis=-1), 7)
+
+
+def _assert_same_move_law(h_plus, h_minus, beta, u):
+    got = bias_weights(h_plus, h_minus, beta)
+    want = _row_major_bias_weights(np.ascontiguousarray(h_plus), np.ascontiguousarray(h_minus), beta)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    rows = dynamics._sample_rows(got, u)
+    assert rows.tolist() == _row_major_sample_rows(want, u).tolist()
+    return got
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0, 60.0])
+def test_move_law_bytes_do_not_depend_on_the_memory_layout(beta):
+    """``bias_weights`` and ``_sample_rows`` give the bytes of the row-major
+    formulas on C-order rows, on the probe-major views ``step`` passes and
+    on single 8-vectors, including clamped and all-zero rows."""
+    rng = np.random.default_rng(int(beta * 10) + 1)
+    n = 4000
+    h_plus = rng.integers(0, 40, size=(n, 8))
+    h_minus = rng.integers(0, 40, size=(n, 8))
+    h_plus[:50], h_minus[:50] = 0, 90  # every weight clamps: the uniform fallback
+    u = rng.random(n)
+    probs = _assert_same_move_law(h_plus, h_minus, beta, u)
+    # Draws that land exactly on a running sum, and past the last one.
+    u[100:200] = np.cumsum(probs[100:200], axis=-1)[np.arange(100), rng.integers(0, 8, 100)]
+    u[200:210] = np.nextafter(1.0, 0.0)
+    _assert_same_move_law(h_plus, h_minus, beta, u)
+    probe_major = np.ascontiguousarray(h_plus.T)  # (8, F), as in ``step``
+    _assert_same_move_law(probe_major.T, probe_major[::-1].T, beta, u)
+    for row in (0, 7, 500):
+        _assert_same_move_law(h_plus[row], h_plus[row][::-1], beta, u[row:row + 1])
+        _assert_same_move_law(h_plus[row], h_minus[row], beta, u[row:row + 1])
+    if beta:
+        assert (probs[:50] == 0.125).all()
+        assert (probs == 0.0).any()
+
+
+def test_move_law_bytes_with_an_array_beta():
+    """``beta`` may be an array that broadcasts against the rows."""
+    rng = np.random.default_rng(12)
+    h_plus = rng.integers(0, 80, size=(3000, 8))
+    h_minus = rng.integers(0, 80, size=(3000, 8))
+    beta = rng.uniform(0.0, 10.0, size=(3000, 1))
+    u = rng.random(3000)
+    _assert_same_move_law(h_plus, h_minus, beta, u)
+    probe_major = np.ascontiguousarray(h_plus.T)
+    _assert_same_move_law(probe_major.T, probe_major[::-1].T, beta, u)
+
+
 def test_transition_distribution_type_rejects_bad_rows():
     with pytest.raises(ValueError):
         TransitionDistribution(np.array([1.0] * 8))
@@ -488,6 +556,87 @@ def test_step_matches_reference_on_rows_out_of_population_order():
         slow = oracle_step(state, model, 4)
         assert (fast.positions == slow.positions).all(), f"tick {tick}"
         assert (fast.active == slow.active).all(), f"tick {tick}"
+        state = fast
+
+
+def _spy_by_population(monkeypatch):
+    """Count the calls ``step`` makes to the general active-set path."""
+    calls = []
+    by_population = dynamics._by_population
+
+    def spy(*args):
+        calls.append(1)
+        return by_population(*args)
+
+    monkeypatch.setattr(dynamics, "_by_population", spy)
+    return calls
+
+
+def _is_run_in_population_order(state):
+    ids = np.flatnonzero(state.active)
+    pops = state.population_index[ids]
+    return (len(ids) == 0 or ids[-1] - ids[0] + 1 == len(ids)) and (pops[1:] >= pops[:-1]).all()
+
+
+@pytest.mark.parametrize("first,last", [(0, 18), (5, 20), (10, 24), (9, 10), (0, 0)],
+                         ids=["start", "middle", "end", "single", "none"])
+def test_step_on_a_run_of_active_ids_matches_the_oracle(monkeypatch, first, last):
+    """Active ids [first, last) in population order take the slice path;
+    once a freeze breaks the run, the general path. Both match the oracle."""
+    calls = _spy_by_population(monkeypatch)
+    model = make_toy_model(walkers=10, particles=14, side=7, seed=2)
+    active = np.zeros(24, dtype=bool)
+    active[first:last] = True
+    state = dataclasses.replace(initialize(model, 2), active=active)
+    run_ticks = 0
+    for tick in range(3):
+        run = _is_run_in_population_order(state)
+        run_ticks += run
+        calls.clear()
+        fast = step(state, model, 2)
+        slow = oracle_step(state, model, 2)
+        assert (fast.positions == slow.positions).all(), f"tick {tick}"
+        assert (fast.active == slow.active).all(), f"tick {tick}"
+        assert len(calls) == (0 if run else 1), f"tick {tick}"
+        state = fast
+    assert run_ticks >= 1
+
+
+def test_a_run_with_a_freeze_on_the_slice_path_matches_the_oracle(monkeypatch):
+    """Particles freeze in the first tick of a run that starts inside the
+    ids, so frozen rows map back to ids through the run's first id."""
+    calls = _spy_by_population(monkeypatch)
+    model = make_toy_model(walkers=10, particles=14, side=7, seed=2)
+    active = np.zeros(24, dtype=bool)
+    active[5:20] = True
+    state = dataclasses.replace(initialize(model, 2), active=active)
+    fast = step(state, model, 2)
+    slow = oracle_step(state, model, 2)
+    assert calls == []
+    assert (fast.positions == slow.positions).all()
+    assert (fast.active == slow.active).all()
+    assert 0 < (state.active & ~fast.active).sum()
+
+
+def test_a_run_out_of_population_order_takes_the_general_path(monkeypatch):
+    """Active ids that are one run but not in population order (a permuted
+    ``population_index``) go through ``_by_population``."""
+    calls = _spy_by_population(monkeypatch)
+    model = make_toy_model(walkers=10, particles=14, side=7, seed=3)
+    start = initialize(model, 3)
+    order = np.random.default_rng(5).permutation(start.n_agents)
+    active = np.zeros(24, dtype=bool)
+    active[4:20] = True
+    state = dataclasses.replace(start, population_index=start.population_index[order],
+                                positions=start.positions[order], active=active)
+    assert not _is_run_in_population_order(state)
+    for tick in range(3):
+        calls.clear()
+        fast = step(state, model, 3)
+        slow = oracle_step(state, model, 3)
+        assert (fast.positions == slow.positions).all(), f"tick {tick}"
+        assert (fast.active == slow.active).all(), f"tick {tick}"
+        assert len(calls) == (0 if _is_run_in_population_order(state) else 1), f"tick {tick}"
         state = fast
 
 

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from coocsim import dynamics
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "stage_split.py"
 
 
@@ -11,11 +13,14 @@ def test_stage_split_reports_every_stage_of_every_group(capsys):
     spec = importlib.util.spec_from_file_location("stage_split", SCRIPT)
     stage_split = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(stage_split)
+    before = [getattr(dynamics, name) for name in stage_split.WRAPPED]
     stage_split.main(["--repeats", "1"])
+    assert [getattr(dynamics, name) for name in stage_split.WRAPPED] == before
     out = json.loads(capsys.readouterr().out)
     stages = set(stage_split.STAGES) | {"total"}
     for group in ("tick_0", "ticks_1_6", "walk_only_ticks", "all_ticks"):
         assert set(out[group]) == stages, group
+        assert out[group]["uniforms"] > 0, group
     assert 0 < out["walk_only_tick_count"] < 60
     assert out["walk_only_ticks"]["field"] == out["walk_only_ticks"]["deactivation"] == 0
     assert out["tick_0"]["field"] > 0
