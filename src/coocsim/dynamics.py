@@ -201,15 +201,15 @@ def _linked_counts(side, starts, xy, links, probes=None):
     per probe offset when ``probes`` are given (see :func:`disk_counts`).
     ``xy`` holds one position per row, rows in population order."""
     groups: dict[tuple[int, float], int] = {}
-    link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links],
-                          dtype=np.int64)
+    link_group = [groups.setdefault(key, len(groups)) for _, key in links]
+    order = sorted(range(len(links)), key=link_group.__getitem__)  # stable: rows in group order
     point_group, points = _members(starts, [target for target, _ in groups])
-    slot, probed = _members(starts, [pop for pop, _ in links])
+    slot, probed = _members(starts, [links[i][0] for i in order])
     counts = disk_counts(
         side, [distance for _, distance in groups], point_group, np.take(xy, points, axis=0),
-        link_group[slot], np.take(xy, probed, axis=0), probes,
+        np.array(sorted(link_group))[slot], np.take(xy, probed, axis=0), probes,
     )
-    return slot, probed, counts
+    return np.array(order)[slot], probed, counts
 
 
 def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np.ndarray:
@@ -298,10 +298,11 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
     # over its population's field groups, of the tick-t active agents of the
     # group's target within the group's distance. ``h``'s memory is probe-major.
     if follow_pops:
-        _, follow = _members(starts, follow_pops)
         links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
         _, probed, h = _linked_counts(side, starts, xy, links, OFFSET_ARRAY)
-        if len(links) > len(follow_pops):  # several groups: add each row's links
+        # With one group per follower, h's rows are the probed rows, in group order.
+        follow = probed if len(links) == len(follow_pops) else _members(starts, follow_pops)[1]
+        if len(probed) > len(follow):  # several groups per follower: add each row's links
             rank = np.empty(n, dtype=np.int64)  # row of each follower in h
             rank[follow] = np.arange(len(follow))
             keys = (np.arange(8)[:, None] * len(follow) + rank[probed]).ravel()

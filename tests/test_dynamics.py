@@ -688,6 +688,35 @@ def test_both_ways_of_building_the_field_rows_match_the_oracle(monkeypatch, seve
         assert (len(links) > len(followers)) == several_groups
 
 
+def test_freeze_thresholds_follow_the_link_order_not_the_group_order(monkeypatch):
+    """``a`` and ``c`` freeze next to ``d`` within 2 (cardinalities 1 and 3),
+    ``b`` next to three other ``b`` within 1 (a self-link). ``a`` and ``c``
+    share a group, so the rows go out as a, c, b: the returned link slots
+    must still index the links as given, and the field rows, one group per
+    follower, come back in that order."""
+    calls = _spy_linked_counts(monkeypatch)
+    rules = parse_rules("""
+interaction walk
+actions random-walk deactivate-none
+end
+
+interaction glue
+actions follow-path deactivate-source
+end
+""")
+    matrix = [InteractionMatrixEntry(name, "walk", 0, 0) for name in "abcd"]
+    matrix += [InteractionMatrixEntry("a", "glue", 1, 1, "d", 2.0),
+               InteractionMatrixEntry("b", "glue", 1, 3, "b", 1.0),
+               InteractionMatrixEntry("c", "glue", 1, 3, "d", 2.0)]
+    model = build_model(rules, matrix, side=9, seed=7,
+                        sizes={"a": 12, "b": 30, "c": 12, "d": 10})
+    last = _assert_steps_match_oracle(model, 7, 3)
+    freeze_links = [(0, (3, 2.0)), (1, (1, 1.0)), (2, (3, 2.0))]
+    assert [links for links, probed in calls if not probed][0] == freeze_links
+    frozen = np.bincount(last.population_index[~last.active], minlength=4)
+    assert frozen[:3].all() and frozen[3] == 0
+
+
 INVARIANT_RULES = parse_rules("""
 interaction walk
 actions random-walk deactivate-none

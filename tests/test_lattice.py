@@ -205,6 +205,36 @@ def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells
                                                query_group, query_xy)
 
 
+@pytest.mark.parametrize("chunk_keys", [1 << 20, 5])
+@pytest.mark.parametrize("groups_per_grid", [1, 2, 7], ids=["one", "two", "all"])
+def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_per_grid,
+                                                           chunk_keys):
+    """Groups ranked by (radius, index) share a grid in batches of one radius:
+    the grid holds one group, two or all seven. The radii change inside runs
+    of group ids, points and queries come unsorted, group 6 has points but
+    no queries and group 5 queries but no points. Group 3's 150 points
+    outnumber its probed patches, so both ways of stamping run."""
+    side = 9
+    monkeypatch.setattr(lattice, "_GRID_CELLS", groups_per_grid * side * side)
+    monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    rng = np.random.default_rng(groups_per_grid)
+    radii = [2.0, 1.0, 2.0, 7.0, 1.5, 1.0, 2.0]
+    point_group = rng.permutation(np.r_[np.full(150, 3), rng.choice([0, 1, 2, 4, 6], 60)])
+    point_xy = rng.integers(0, side, (len(point_group), 2))
+    query_group = rng.choice([0, 1, 2, 3, 4, 5], 40)
+    query_xy = rng.integers(0, side, (len(query_group), 2))
+    assert (np.diff(point_group) < 0).any() and (np.diff(query_group) < 0).any()
+    assert {5, 6} - set(query_group) == {6} and {5, 6} - set(point_group) == {5}
+    probed = disk_counts(side, radii, point_group, point_xy, query_group, query_xy, OFFSET_ARRAY)
+    flat = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
+    assert probed.dtype == flat.dtype == np.int64
+    assert probed.tolist() == _brute_probe_counts(side, radii, point_group, point_xy,
+                                                  query_group, query_xy, OFFSET_ARRAY)
+    assert flat.tolist() == _brute_disk_counts(side, radii, point_group, point_xy,
+                                               query_group, query_xy)
+    assert flat[query_group == 3].min() > 0 and not flat[query_group == 5].any()
+
+
 @pytest.mark.parametrize("probes", [np.zeros((0, 2), dtype=np.int64), np.zeros(2, dtype=np.int64),
                                     np.zeros((3, 3), dtype=np.int64)])
 def test_disk_counts_rejects_malformed_probes(probes):
