@@ -6,14 +6,17 @@ once in the change checkout, each from the root of its own checkout with
 identical settings. Odd seeds run the parent first, even seeds the change
 first, so a drift of the host's speed does not favour one side. Prints one
 line per run on stderr and, on stdout, one JSON object with every pair, the
-change's wins (ties count for neither side), and each side's median and
-quartiles of the calibrated ``wall_s``:
+change's wins on the calibrated ``wall_s`` (ties count for neither side), and
+each side's median and quartiles of every end-to-end metric of the runs
+(``wall_s``, ``setup_s``, ``agent_ticks_per_s``, ``peak_rss_mb``):
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload dense_freeze \\
         --seeds 1-10 --seconds 35
 
 A gain may be claimed when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
+No regression is judged on every metric: the change's median against the
+parent's, within the bound ``BENCHMARK.json`` sets for that metric.
 """
 
 from __future__ import annotations
@@ -35,21 +38,26 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def summarize(runs: dict[int, dict[str, float]]) -> dict:
-    """Wins of the change (a lower value wins) and each side's median and
-    quartiles, rounded to 4 decimals, from ``{seed: {"parent": s, "change": s}}``."""
+def summarize(runs: dict[int, dict[str, dict[str, float]]]) -> dict:
+    """Wins of the change on ``wall_s`` (a lower value wins) and, per metric,
+    each side's median and quartiles, rounded to 4 decimals, from
+    ``{seed: {"parent": {metric: value}, "change": {metric: value}}}``."""
     out: dict = {"runs": {str(seed): pair for seed, pair in runs.items()},
-                 "change_wins": sum(pair["change"] < pair["parent"] for pair in runs.values())}
-    for side in ("parent", "change"):
-        values = [pair[side] for pair in runs.values()]
-        out[f"{side}_median"] = round(statistics.median(values), 4)
-        out[f"{side}_quartiles"] = [round(q, 4) for q in statistics.quantiles(values, n=4)[::2]]
+                 "change_wins": sum(pair["change"]["wall_s"] < pair["parent"]["wall_s"]
+                                    for pair in runs.values())}
+    for metric in next(iter(runs.values()))["parent"]:
+        out[metric] = {}
+        for side in ("parent", "change"):
+            values = [pair[side][metric] for pair in runs.values()]
+            out[metric][f"{side}_median"] = round(statistics.median(values), 4)
+            out[metric][f"{side}_quartiles"] = [
+                round(q, 4) for q in statistics.quantiles(values, n=4)[::2]]
     return out
 
 
-def wall_s(checkout: Path, workload: str, seed: int, seconds: float) -> float:
-    """One ``bench.py`` run in ``checkout``: its ``wall_s``, after checking
-    that every output was correct and no invocation failed."""
+def bench_metrics(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One ``bench.py`` run in ``checkout``: its end-to-end metrics, after
+    checking that every output was correct and no invocation failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -58,7 +66,7 @@ def wall_s(checkout: Path, workload: str, seed: int, seconds: float) -> float:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: seed {seed}: incorrect outputs or failed invocations")
-    return result["metrics"]["wall_s"]["value"]
+    return {name: round(metric["value"], 4) for name, metric in result["metrics"].items()}
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -70,12 +78,13 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seconds", type=float, default=35)
     args = ap.parse_args(argv)
 
-    runs: dict[int, dict[str, float]] = {}
+    runs: dict[int, dict[str, dict[str, float]]] = {}
     for seed in parse_seeds(args.seeds):
         got = {}
         for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-            got[side] = round(wall_s(getattr(args, side), args.workload, seed, args.seconds), 4)
-            print(f"seed {seed} {side}: wall_s {got[side]}", file=sys.stderr)
+            got[side] = bench_metrics(getattr(args, side), args.workload, seed, args.seconds)
+            shown = " ".join(f"{name} {value}" for name, value in got[side].items())
+            print(f"seed {seed} {side}: {shown}", file=sys.stderr)
         runs[seed] = {"parent": got["parent"], "change": got["change"]}
     how = (f"workload seeds {args.seeds}, one {args.seconds:g} s run per side and seed; "
            "odd seeds ran the parent first, even seeds the change first")

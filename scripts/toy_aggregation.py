@@ -14,22 +14,17 @@ import numpy as np
 
 from coocsim import build_model, neighborhood_counts, run
 from coocsim.io import parse_matrix, parse_rules, render_snapshot
+from coocsim.lattice import disk_offsets
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SPLITS = ((200, 800), (500, 500), (800, 200))  # (walkers, particles)
 
 
-def chance_level(side, walkers, particles, d, rng, placements=100):
-    total = 0.0
-    for _ in range(placements):
-        tx = rng.integers(0, side, walkers)
-        ty = rng.integers(0, side, walkers)
-        sx = rng.integers(0, side, particles)
-        sy = rng.integers(0, side, particles)
-        dx = np.minimum(np.abs(sx[:, None] - tx[None, :]), side - np.abs(sx[:, None] - tx[None, :]))
-        dy = np.minimum(np.abs(sy[:, None] - ty[None, :]), side - np.abs(sy[:, None] - ty[None, :]))
-        total += ((dx ** 2 + dy ** 2) <= d * d).any(axis=1).mean()
-    return total / placements
+def chance_level(side, walkers, d):
+    """Chance that a uniformly placed particle lies within ``d`` of one of
+    ``walkers`` uniformly placed walkers: 1 - (1 - k/A)^n, with k the patches
+    of one disk and A the patches of the world."""
+    return 1 - (1 - len(disk_offsets(side, d)) / (side * side)) ** walkers
 
 
 def main() -> None:
@@ -44,10 +39,9 @@ def main() -> None:
 
     rules = parse_rules((DATA / "rules.txt").read_text())
     matrix = parse_matrix((DATA / "matrix_toy.txt").read_text())
-    rng = np.random.default_rng(0)
 
     for walkers, particles in SPLITS:
-        base = chance_level(args.side, walkers, particles, args.distance, rng)
+        base = chance_level(args.side, walkers, args.distance)
         fractions = {t: [] for t in args.ticks}
         for seed in range(args.seeds):
             model = build_model(rules, matrix, side=args.side,

@@ -189,10 +189,12 @@ def _cmd_gen_matrix(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         counts, average = read_report_csv(_read_text(args.report))
+        for name in significant_from_counts(counts, average, args.factor):
+            print(f"{name} {counts[name]}")
     except ParseError as exc:
         raise CliError(f"{args.report}: {exc}") from exc
-    for name in significant_from_counts(counts, average, args.factor):
-        print(f"{name} {counts[name]}")
+    except ValueError as exc:  # a --factor that is not finite and positive
+        raise CliError(str(exc)) from exc
     return 0
 
 

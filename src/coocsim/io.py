@@ -213,6 +213,8 @@ def build_relation_model(
     """
     if kind not in ("restricted", "extended"):
         raise ValueError(f"kind must be 'restricted' or 'extended', got {kind!r}")
+    if not 0 < distance < float("inf"):
+        raise ValueError(f"distance must be a finite positive number, got {distance}")
     names = set(edges.names)
     if target not in names:
         raise ValueError(f"target {target!r} not present in the edge list")

@@ -98,19 +98,21 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
                 probes=None) -> np.ndarray:
     """Per query, the points of the query's group within the group's radius.
 
-    Group g has radius ``radii[g]``; points and queries each carry an int64
-    group index and (x, y) patch. With a (J, 2) array of ``probes`` the result
-    is (Q, J), a transposed view of probe-major counts: the count around each
-    query's patch moved by each probe offset. Without, it is 1-D, per query.
+    Group g has radius ``radii[g]``; points and queries are arrays of int64
+    group indices and (x, y) patches. With a (J, 2) array of ``probes`` the
+    result is (Q, J), a transposed view of probe-major counts: the count around
+    each query's patch moved by each probe offset. Without, it is 1-D, per
+    query.
 
-    Groups are ranked by (radius, index); points and queries are sorted by
-    rank only when out of order. A batch (a run of ranks of one radius) takes
-    its rows as slices and stamps a reused int32 grid of at most ``_GRID_CELLS``
-    cells (4 MB; a cell counts fewer than 2**31 points), keyed
-    ``((rank - first) * side + x) * side + y``. With P points, Q·J probed
-    patches and k-patch disks, it stamps every point's disk and reads one cell
-    per probe (P·k + Q·J) when P <= Q·J, else stamps each point once and sums
-    each probe's disk (P + Q·J·k). Keys are built ``_CHUNK_KEYS`` at a time and
+    Points and queries each come grouped, in nondecreasing group index
+    (``ValueError`` otherwise), as the callers send them. A batch (at most
+    ``_GRID_CELLS // side**2`` consecutive groups of one radius) takes its rows
+    as slices and stamps a reused int32 grid of at most ``_GRID_CELLS`` cells
+    (4 MB; a cell counts fewer than 2**31 points), keyed ``((group - first) *
+    side + x) * side + y``. With P points, Q·J probed patches and k-patch
+    disks, it stamps every point's disk and reads one cell per probe
+    (P·k + Q·J) when P <= Q·J, else stamps each point once and sums each
+    probe's disk (P + Q·J·k). Keys are built ``_CHUNK_KEYS`` at a time and
     only stamped cells are zeroed again, so memory stays bounded; counts are
     exact int64.
     """
@@ -120,20 +122,18 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     if probes.ndim != 2 or probes.shape[1] != 2 or not len(probes):
         raise ValueError(f"probes must be a (J, 2) array with J >= 1, got shape {probes.shape}")
     counts = np.zeros((len(probes), len(query_group)), dtype=np.int64)  # probe-major
-    order = sorted(range(len(radii)), key=radii.__getitem__)  # stable: by (radius, index)
-    by_rank, n = [radii[g] for g in order], len(order)
-    rank = np.argsort(order) if order != sorted(order) else None  # None: ranks are groups
-    point_rank, point_xy, _ = _in_rank_order(rank, point_group, point_xy)
-    query_rank, query_xy, query_order = _in_rank_order(rank, query_group, query_xy)
-    per_batch = max(1, _GRID_CELLS // cells)  # a batch starts every per_batch-th rank of a run
-    runs = [0, *(r for r in range(1, n) if by_rank[r] != by_rank[r - 1]), n]
-    bounds = [r for lo, hi in zip(runs, runs[1:]) for r in range(lo, hi, per_batch)] + [n]
+    point_group, query_group = np.asarray(point_group), np.asarray(query_group)
+    if (point_group[1:] < point_group[:-1]).any() or (query_group[1:] < query_group[:-1]).any():
+        raise ValueError("points and queries must each come in nondecreasing group order")
+    n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
+    runs = [0, *(g for g in range(1, n) if radii[g] != radii[g - 1]), n]
+    bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
     point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]
-                          for r in (point_rank, query_rank))  # one batch: all rows
+                          for r in (point_group, query_group))  # one batch: all rows
     grid = np.zeros(min(n, per_batch) * cells, dtype=np.int32)
     for b, first in enumerate(bounds[:-1]):
         (p0, p1), (q0, q1) = point_at[b:b + 2], query_at[b:b + 2]
-        disk = disk_offsets(side, float(by_rank[first]))
+        disk = disk_offsets(side, float(radii[first]))
         if p1 - p0 <= (q1 - q0) * len(probes):
             stamp, read = disk, probes
         else:
@@ -142,27 +142,16 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
         point_chunk, query_chunk = _CHUNK_KEYS // len(stamp) or 1, _CHUNK_KEYS // len(read) or 1
         for lo in range(p0, p1, point_chunk):
             pts = slice(lo, min(lo + point_chunk, p1))
-            keys = _keys(side, point_rank[pts] - first, point_xy[pts], stamp)
+            keys = _keys(side, point_group[pts] - first, point_xy[pts], stamp)
             np.add.at(grid, keys, np.int32(1))
             for qlo in range(q0, q1, query_chunk):
                 qs = slice(qlo, min(qlo + query_chunk, q1))
-                at = _keys(side, query_rank[qs] - first, query_xy[qs], read)
+                at = _keys(side, query_group[qs] - first, query_xy[qs], read)
                 got = grid[at] if len(read) == len(probes) else (  # a cell or a disk per probe
                     grid[at].reshape(len(probes), -1, at.shape[1]).sum(axis=1))
                 counts[:, qs] += got
             grid[keys] = 0
-    if query_order is not None:  # back to the order the queries came in
-        counts[:, query_order] = counts.copy()
     return counts[0] if flat else counts.T
-
-
-def _in_rank_order(rank, group, xy):
-    """Rows' ranks and patches in rank order, and the sort (None: none needed)."""
-    row_rank = np.asarray(group) if rank is None else np.take(rank, group)
-    if not (row_rank[1:] < row_rank[:-1]).any():
-        return row_rank, np.asarray(xy), None
-    order = np.argsort(row_rank, kind="stable")
-    return row_rank[order], np.take(xy, order, axis=0), order
 
 
 _ORIGIN = np.zeros((1, 2), dtype=np.int64)

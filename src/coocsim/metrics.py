@@ -157,8 +157,8 @@ def overlap_report(model_hits: Iterable[str], reference: Iterable[str]) -> Overl
 
 def significant_from_counts(counts: Mapping[str, int], average: float, factor: float) -> list[str]:
     """Names whose count reaches factor * average, busiest first."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"factor must be a finite positive number, got {factor}")
     hits = [(name, c) for name, c in counts.items() if c >= factor * average]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return [name for name, _ in hits]

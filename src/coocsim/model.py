@@ -192,8 +192,8 @@ def validate(model: Model) -> list[Diagnostic]:
             err(f"{where}: target family and distance must be given together")
         if has_target and entry.target_family not in pop_names:
             err(f"{where}: unknown target population {entry.target_family!r}")
-        if has_distance and not entry.distance > 0:
-            err(f"{where}: distance must be positive, got {entry.distance}")
+        if has_distance and not 0 < entry.distance < float("inf"):
+            err(f"{where}: distance must be a finite positive number, got {entry.distance}")
         if rule is not None:
             if has_target and rule.movement_action != FOLLOW_PATH:
                 err(f"{where}: targeted entries must use a {FOLLOW_PATH} rule")

@@ -11,25 +11,49 @@ PARENT = [0.4028, 0.3873, 0.3902, 0.376, 0.3985, 0.3869, 0.3955, 0.3907, 0.4041,
 CHANGE = [0.3122, 0.3163, 0.3066, 0.318, 0.3141, 0.3141, 0.3137, 0.3193, 0.3255, 0.3074]
 
 
+def _walls(pairs):
+    return {seed: {"parent": {"wall_s": p}, "change": {"wall_s": c}}
+            for seed, (p, c) in enumerate(pairs, start=1)}
+
+
 def test_summary_of_canned_pairs():
-    runs = {seed: {"parent": p, "change": c}
-            for seed, (p, c) in enumerate(zip(PARENT, CHANGE), start=1)}
-    out = ab_pairs.summarize(runs)
-    assert out["runs"]["4"] == {"parent": 0.376, "change": 0.318}
+    out = ab_pairs.summarize(_walls(zip(PARENT, CHANGE)))
+    assert out["runs"]["4"] == {"parent": {"wall_s": 0.376}, "change": {"wall_s": 0.318}}
     assert out["change_wins"] == 10
-    assert out["parent_median"] == 0.3904
-    assert out["parent_quartiles"] == [0.3854, 0.3996]
-    assert out["change_median"] == 0.3141
-    assert out["change_quartiles"] == [0.311, 0.3183]
+    assert out["wall_s"]["parent_median"] == 0.3904
+    assert out["wall_s"]["parent_quartiles"] == [0.3854, 0.3996]
+    assert out["wall_s"]["change_median"] == 0.3141
+    assert out["wall_s"]["change_quartiles"] == [0.311, 0.3183]
 
 
 def test_ties_and_losses_are_not_wins():
-    runs = {1: {"parent": 0.30, "change": 0.30}, 2: {"parent": 0.30, "change": 0.31},
-            3: {"parent": 0.30, "change": 0.29}, 4: {"parent": 0.32, "change": 0.28}}
-    out = ab_pairs.summarize(runs)
+    out = ab_pairs.summarize(_walls([(0.30, 0.30), (0.30, 0.31), (0.30, 0.29), (0.32, 0.28)]))
     assert out["change_wins"] == 2
-    assert out["parent_median"] == 0.3
-    assert out["change_median"] == 0.295
+    assert out["wall_s"]["parent_median"] == 0.3
+    assert out["wall_s"]["change_median"] == 0.295
+
+
+def test_every_end_to_end_metric_is_summarized_and_wins_stay_on_wall_s():
+    """The change loses on wall_s in three of four pairs but wins on every
+    other metric: the wins count wall_s only, and each metric gets each
+    side's median and quartiles."""
+    names = ("wall_s", "setup_s", "agent_ticks_per_s", "peak_rss_mb")
+    parent = [(0.20, 0.030, 400000.0, 50.0), (0.21, 0.034, 410000.0, 50.5),
+              (0.19, 0.026, 390000.0, 49.5), (0.22, 0.038, 420000.0, 51.0)]
+    change = [(0.21, 0.020, 500000.0, 45.0), (0.22, 0.024, 510000.0, 45.5),
+              (0.18, 0.016, 490000.0, 44.5), (0.23, 0.028, 520000.0, 46.0)]
+    runs = {seed: {"parent": dict(zip(names, p)), "change": dict(zip(names, c))}
+            for seed, (p, c) in enumerate(zip(parent, change), start=1)}
+    out = ab_pairs.summarize(runs)
+    assert out["change_wins"] == 1
+    assert [name for name in out if name in names] == list(names)
+    assert out["setup_s"] == {"parent_median": 0.032, "parent_quartiles": [0.027, 0.037],
+                              "change_median": 0.022, "change_quartiles": [0.017, 0.027]}
+    assert out["agent_ticks_per_s"]["parent_median"] == 405000.0
+    assert out["agent_ticks_per_s"]["change_quartiles"] == [492500.0, 517500.0]
+    assert out["peak_rss_mb"]["parent_median"] == 50.25
+    assert out["peak_rss_mb"]["change_median"] == 45.25
+    assert out["wall_s"]["change_median"] == 0.215
 
 
 def test_seed_lists():

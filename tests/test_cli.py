@@ -230,6 +230,15 @@ def test_analyze_rejects_malformed_header(tmp_path, capsys):
     assert "population,count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+def test_analyze_rejects_a_factor_that_is_not_finite_and_positive(capsys, factor):
+    rc = run_cli("analyze", TEST_DATA / "report_small_set_t1000.csv", "--factor", factor)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "factor" in lines[0]
+
+
 def test_gen_matrix_restricted_star(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("t a\nt b\n")
@@ -271,6 +280,26 @@ def test_gen_matrix_unwritable_output_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(rules_out) in lines[0]
+
+
+@pytest.mark.parametrize("distance", ["-1", "0", "nan", "inf"])
+def test_gen_matrix_rejects_distance_before_writing(tmp_path, capsys, distance):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("t a\n")
+    rules_out, matrix_out = tmp_path / "r.txt", tmp_path / "m.txt"
+    rc = run_cli("gen-matrix", edges, "--target", "t", "--distance", distance,
+                 "--rules-out", rules_out, "--matrix-out", matrix_out)
+    assert not rules_out.exists()
+    _assert_rejected_before_output(rc, matrix_out, capsys.readouterr().err, "distance")
+
+
+@pytest.mark.parametrize("distance", ["inf", "nan", "0"])
+def test_run_rejects_matrix_distance_before_writing(tmp_path, capsys, distance):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(f"a walk 0 0\nb walk 0 0\na cooc 1 1 b {distance}\n")
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{"--matrix": matrix, "--target": "b"}))
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, "distance")
 
 
 def test_gen_matrix_output_feeds_run(tmp_path):

@@ -148,9 +148,9 @@ def test_disk_counts_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys
     rng = np.random.default_rng(17)
     side = 9
     radii = [2.0, 1.0, 2.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
-    point_group = rng.integers(0, len(radii), 60)
+    point_group = np.sort(rng.integers(0, len(radii), 60))   # rows come grouped
     point_xy = rng.integers(0, side, (60, 2))
-    query_group = rng.integers(0, len(radii), 200)
+    query_group = np.sort(rng.integers(0, len(radii), 200))
     query_xy = rng.integers(0, side, (200, 2))
     got = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
     assert got.dtype == np.int64
@@ -186,9 +186,9 @@ def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells
     rng = np.random.default_rng(n_points)
     side = 9
     radii = [2.0, 1.0, 2.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
-    point_group = rng.permutation(np.arange(n_points) % len(radii))
+    point_group = np.sort(np.arange(n_points) % len(radii))   # rows come grouped
     point_xy = rng.integers(0, side, (n_points, 2))
-    query_group = rng.permutation(np.arange(n_queries) % len(radii))
+    query_group = np.sort(np.arange(n_queries) % len(radii))
     query_xy = rng.integers(0, side, (n_queries, 2))
     points_per_group = np.bincount(point_group, minlength=len(radii))
     probed_per_group = np.bincount(query_group, minlength=len(radii)) * len(OFFSET_ARRAY)
@@ -209,21 +209,22 @@ def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells
 @pytest.mark.parametrize("groups_per_grid", [1, 2, 7], ids=["one", "two", "all"])
 def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_per_grid,
                                                            chunk_keys):
-    """Groups ranked by (radius, index) share a grid in batches of one radius:
-    the grid holds one group, two or all seven. The radii change inside runs
-    of group ids, points and queries come unsorted, group 6 has points but
-    no queries and group 5 queries but no points. Group 3's 150 points
-    outnumber its probed patches, so both ways of stamping run."""
+    """Consecutive groups of one radius share a grid in batches: the grid
+    holds one group, two or all seven. Points and queries come grouped; the
+    radii 2.0 (groups 0, 2, 6) and 1.0 (groups 1, 5) recur after other radii,
+    so each recurrence opens a new batch. Group 6 has points but no queries
+    and group 5 queries but no points. Group 3's 150 points outnumber its
+    probed patches, so both ways of stamping run."""
     side = 9
     monkeypatch.setattr(lattice, "_GRID_CELLS", groups_per_grid * side * side)
     monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
     rng = np.random.default_rng(groups_per_grid)
     radii = [2.0, 1.0, 2.0, 7.0, 1.5, 1.0, 2.0]
-    point_group = rng.permutation(np.r_[np.full(150, 3), rng.choice([0, 1, 2, 4, 6], 60)])
+    point_group = np.sort(np.r_[np.full(150, 3), rng.choice([0, 1, 2, 4, 6], 60)])
     point_xy = rng.integers(0, side, (len(point_group), 2))
-    query_group = rng.choice([0, 1, 2, 3, 4, 5], 40)
+    query_group = np.sort(rng.choice([0, 1, 2, 3, 4, 5], 40))
     query_xy = rng.integers(0, side, (len(query_group), 2))
-    assert (np.diff(point_group) < 0).any() and (np.diff(query_group) < 0).any()
+    assert {0, 1, 2, 4, 6} <= set(point_group) and {0, 1, 2} <= set(query_group)
     assert {5, 6} - set(query_group) == {6} and {5, 6} - set(point_group) == {5}
     probed = disk_counts(side, radii, point_group, point_xy, query_group, query_xy, OFFSET_ARRAY)
     flat = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
@@ -241,3 +242,16 @@ def test_disk_counts_rejects_malformed_probes(probes):
     one_xy, one_group = np.array([(3, 3)]), np.array([0])
     with pytest.raises(ValueError, match="probes"):
         disk_counts(7, [2.0], one_group, one_xy, one_group, one_xy, probes)
+
+
+@pytest.mark.parametrize("ungrouped", ["points", "queries"])
+def test_disk_counts_rejects_rows_out_of_group_order(ungrouped):
+    """Rows come in nondecreasing group order; a row of a lower group after
+    a higher one is refused rather than counted."""
+    grouped, xy = np.array([0, 0, 1, 1]), np.array([(1, 1), (2, 2), (3, 3), (4, 4)])
+    shuffled = np.array([0, 1, 0, 1])
+    point_group, query_group = (shuffled, grouped) if ungrouped == "points" else (grouped, shuffled)
+    with pytest.raises(ValueError, match="nondecreasing group order"):
+        disk_counts(7, [1.0, 2.0], point_group, xy, query_group, xy)
+    with pytest.raises(ValueError, match="nondecreasing group order"):
+        disk_counts(7, [1.0, 2.0], point_group, xy, query_group, xy, OFFSET_ARRAY)

@@ -286,8 +286,9 @@ def test_threshold_strictness_by_hand():
 
 def test_factor_must_be_positive():
     report = NeighborhoodReport("t", 2.0, 0, {"a": 1}, 1.0)
-    with pytest.raises(ValueError):
-        significant_populations(report, 0.0)
+    for factor in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive"):
+            significant_populations(report, factor)
 
 
 @given(st.integers(1, 50))

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from coocsim import build_model, initialize, validate
-from coocsim.io import parse_matrix, parse_rules
+from coocsim.io import build_relation_model, parse_edge_list, parse_matrix, parse_rules
 from coocsim.model import (
     InteractionMatrixEntry,
     InteractionRule,
@@ -138,6 +139,25 @@ def test_non_finite_beta_is_an_error(rules_text):
         model = build_model(parse_rules(rules_text), matrix, side=9, sizes=5, beta=beta)
         msgs = [d.message for d in errors(validate(model))]
         assert any("beta" in m for m in msgs), beta
+
+
+@pytest.mark.parametrize("distance", [-1.0, 0.0, float("nan"), float("inf")])
+def test_one_rule_for_interaction_distances(rules_text, distance):
+    """A distance is finite and > 0 wherever it enters: a generated relation
+    model refuses it and a validated matrix entry reports it as an error."""
+    with pytest.raises(ValueError, match="finite positive"):
+        build_relation_model(parse_edge_list("t a\n"), "t", distance=distance)
+    matrix = [
+        InteractionMatrixEntry("a", "walk", 0, 0),
+        InteractionMatrixEntry("b", "walk", 0, 0),
+        InteractionMatrixEntry("a", "cooc", 1, 1, "b", distance),
+    ]
+    model = build_model(parse_rules(rules_text), matrix, side=9, sizes=5)
+    msgs = [d.message for d in errors(validate(model))]
+    assert any("finite positive" in m for m in msgs), distance
+    matrix[2] = InteractionMatrixEntry("a", "cooc", 1, 1, "b", 2.0)
+    model = build_model(parse_rules(rules_text), matrix, side=9, sizes=5)
+    assert errors(validate(model)) == []
 
 
 def test_initialize_is_reproducible():
