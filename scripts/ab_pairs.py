@@ -13,10 +13,12 @@ each side's median and quartiles of every end-to-end metric of the runs
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload dense_freeze \\
         --seeds 1-10 --seconds 35
 
-A gain may be claimed when the change wins at least nine tenths of the
-pairs and the medians differ by more than the parent's interquartile range.
-No regression is judged on every metric: the change's median against the
-parent's, within the bound ``BENCHMARK.json`` sets for that metric.
+It also gives the verdicts of the claim rule. ``claim_met``: the change wins
+at least nine tenths of the pairs and its median ``wall_s`` is below the
+parent's by more than the parent's interquartile range. ``regressed``, per
+metric: the change's median is worse than the parent's by more than the
+relative ``bound`` that ``BENCHMARK.json`` sets for that metric, in the
+direction of its ``better``.
 """
 
 from __future__ import annotations
@@ -38,20 +40,43 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def end_to_end_metrics() -> dict[str, dict]:
+    """The end-to-end metrics of ``BENCHMARK.json`` by name, each with its
+    ``better`` (``"lower"`` or ``"higher"``) and relative ``bound``."""
+    return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
 def summarize(runs: dict[int, dict[str, dict[str, float]]]) -> dict:
-    """Wins of the change on ``wall_s`` (a lower value wins) and, per metric,
-    each side's median and quartiles, rounded to 4 decimals, from
-    ``{seed: {"parent": {metric: value}, "change": {metric: value}}}``."""
+    """From ``{seed: {"parent": {metric: value}, "change": {metric: value}}}``:
+    the change's wins on ``wall_s`` (a lower value wins), per metric each
+    side's median and quartiles rounded to 4 decimals, ``claim_met``, and
+    ``regressed`` for each end-to-end metric of ``BENCHMARK.json``."""
+    bounds = end_to_end_metrics()
     out: dict = {"runs": {str(seed): pair for seed, pair in runs.items()},
                  "change_wins": sum(pair["change"]["wall_s"] < pair["parent"]["wall_s"]
                                     for pair in runs.values())}
+    medians, regressed = {}, {}
     for metric in next(iter(runs.values()))["parent"]:
         out[metric] = {}
         for side in ("parent", "change"):
             values = [pair[side][metric] for pair in runs.values()]
-            out[metric][f"{side}_median"] = round(statistics.median(values), 4)
+            medians[metric, side] = statistics.median(values)
+            out[metric][f"{side}_median"] = round(medians[metric, side], 4)
             out[metric][f"{side}_quartiles"] = [
                 round(q, 4) for q in statistics.quantiles(values, n=4)[::2]]
+        if metric in bounds:
+            parent, change = medians[metric, "parent"], medians[metric, "change"]
+            worse = (change - parent) / parent
+            if bounds[metric]["better"] == "higher":
+                worse = -worse
+            regressed[metric] = worse > bounds[metric]["bound"]
+    q1, _, q3 = statistics.quantiles([pair["parent"]["wall_s"] for pair in runs.values()], n=4)
+    out["claim_met"] = (10 * out["change_wins"] >= 9 * len(runs)
+                        and medians["wall_s", "parent"] - medians["wall_s", "change"] > q3 - q1)
+    out["regressed"] = regressed
     return out
 
 

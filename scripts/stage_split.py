@@ -18,8 +18,9 @@ The stages:
 * ``field``: the ``_linked_counts`` call with probe offsets (the 8 probes
   of every following agent);
 * ``deactivation``: the ``_linked_counts`` call without;
-* ``move_apply``: from the return of ``_sample_rows`` to the start of the
-  deactivation call (writing the moved positions);
+* ``move_apply``: from the return of the last ``_sample_rows`` call (the
+  move draw runs in blocks of followers) to the start of the deactivation
+  call (writing the moved positions);
 * ``other``: the rest of the step (finding the active rows, selection,
   walk draws, move sampling).
 

@@ -45,6 +45,10 @@ __all__ = [
 _INV_TWO_LEN = 1.0 / (2.0 * OFFSET_LENGTHS)
 _INV_TWO_LEN.setflags(write=False)
 
+#: Follower rows per block of the move draw: the law and the CDF inversion
+#: work row by row, so blocks bound their (rows, 8) temporaries and change no move.
+_MOVE_ROWS = 1 << 13
+
 
 class ConfigurationFault(RuntimeError):
     """Raised when no matrix entry applies to a population at run time."""
@@ -309,8 +313,10 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
             h = np.bincount(keys, h.T.ravel(), 8 * len(follow)).astype(np.int64).reshape(8, -1).T
         # Self-contributions of a self-linking entry cancel between the +d and
         # -d probes, so the raw counts are already correct.
-        probs = bias_weights(h, h[:, ::-1], model.params.beta)
-        move_idx[follow] = _sample_rows(probs, u[follow])
+        for lo in range(0, len(follow), _MOVE_ROWS):
+            hs, rows = h[lo:lo + _MOVE_ROWS], follow[lo:lo + _MOVE_ROWS]
+            probs = bias_weights(hs, hs[:, ::-1], model.params.beta)
+            move_idx[rows] = _sample_rows(probs, u[rows])
 
     new_pos = pos.copy()
     # Offsets are -1, 0 or 1, so a table wraps x + d, read at x + d + 1.

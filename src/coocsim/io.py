@@ -284,12 +284,20 @@ def read_report_csv(text: str) -> tuple[dict[str, int], float]:
     return counts, average
 
 
+#: Bytes per ``sink.write`` of :func:`render_snapshot`, in whole patch rows (one at least).
+#: Small enough that the reused buffer stays in cache and comes from the heap, not a fresh mapping.
+_WRITE_BYTES = 1 << 16
+
+
 def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
     """Stream the world as a binary P6 pixmap, one scale x scale block per patch.
 
     A patch shows the colour of the last agent (in id order) occupying it;
     frozen agents keep their patch. Empty patches are black. Output bytes
-    are a pure function of the state, written one pixel row at a time.
+    are a pure function of the state, written in blocks of whole patch rows
+    of at most ``_WRITE_BYTES`` (or one patch row, if larger) from one
+    buffer reused across writes, so the sink must consume the bytes before
+    ``write`` returns (files and ``BytesIO`` do).
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -300,10 +308,20 @@ def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
     np.maximum.at(last, state.positions[:, 1] * side + state.positions[:, 0],
                   np.arange(state.n_agents))
     colour = np.append(state.population_index % len(PALETTE), len(PALETTE))  # no agent (-1): black
-    patch = np.array(PALETTE + ((0, 0, 0),), dtype=np.uint8)[colour[last]]
-    rows = np.repeat(patch.reshape(side, side, 3), scale, axis=1)
+    # One row of this table is a patch's scale pixels: its colour repeated scale times.
+    table = np.tile(np.array(PALETTE + ((0, 0, 0),), dtype=np.uint8), scale)
+    patch_rows = colour[last].reshape(side, side)
     header = f"P6\n{side * scale} {side * scale}\n255\n".encode("ascii")
     sink.write(header)
-    for row in rows:
-        sink.write(row.tobytes() * scale)
-    return len(header) + rows.nbytes * scale
+    row_bytes = side * scale * 3
+    per_block = min(side, max(1, _WRITE_BYTES // (scale * row_bytes)))  # patch rows
+    block = np.empty((per_block, scale, side, scale * 3), dtype=np.uint8)
+    image_rows = block.reshape(per_block, scale, row_bytes)  # the same memory
+    for lo in range(0, side, per_block):
+        n = min(per_block, side - lo)
+        # The first image row of each patch row, then its copies. No index
+        # clips; numpy fills ``out`` in place only when the mode is not "raise".
+        np.take(table, patch_rows[lo:lo + n], axis=0, out=block[:n, 0], mode="clip")
+        image_rows[:n, 1:] = image_rows[:n, :1]
+        sink.write(image_rows[:n].reshape(-1))
+    return len(header) + side * scale * row_bytes

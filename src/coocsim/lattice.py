@@ -104,17 +104,17 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     each query's patch moved by each probe offset. Without, it is 1-D, per
     query.
 
-    Points and queries each come grouped, in nondecreasing group index
-    (``ValueError`` otherwise), as the callers send them. A batch (at most
-    ``_GRID_CELLS // side**2`` consecutive groups of one radius) takes its rows
-    as slices and stamps a reused int32 grid of at most ``_GRID_CELLS`` cells
-    (4 MB; a cell counts fewer than 2**31 points), keyed ``((group - first) *
-    side + x) * side + y``. With P points, Q·J probed patches and k-patch
-    disks, it stamps every point's disk and reads one cell per probe
-    (P·k + Q·J) when P <= Q·J, else stamps each point once and sums each
-    probe's disk (P + Q·J·k). Keys are built ``_CHUNK_KEYS`` at a time and
-    only stamped cells are zeroed again, so memory stays bounded; counts are
-    exact int64.
+    Points and queries each come grouped, in nondecreasing group index in
+    [0, len(radii)) (``ValueError`` otherwise), as the callers send them. A
+    batch (at most ``_GRID_CELLS // side**2`` consecutive groups of one
+    radius) takes its rows as slices and stamps a reused int32 grid of at
+    most ``_GRID_CELLS`` cells (4 MB; a cell counts fewer than 2**31 points),
+    keyed ``((group - first) * side + x) * side + y``. With P points, Q·J
+    probed patches and k-patch disks, it stamps every point's disk and reads
+    one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
+    once and sums each probe's disk (P + Q·J·k). Keys are built
+    ``_CHUNK_KEYS`` at a time and only stamped cells are zeroed again, so
+    memory stays bounded; counts are exact int64.
     """
     flat = probes is None
     cells, half = side * side, side // 2  # shifts are signed, as from ``disk_offsets``
@@ -126,6 +126,8 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     if (point_group[1:] < point_group[:-1]).any() or (query_group[1:] < query_group[:-1]).any():
         raise ValueError("points and queries must each come in nondecreasing group order")
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
+    if any(len(r) and (r[0] < 0 or r[-1] >= n) for r in (point_group, query_group)):
+        raise ValueError(f"group indices must lie in [0, {n}), one per radius")
     runs = [0, *(g for g in range(1, n) if radii[g] != radii[g - 1]), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
     point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]

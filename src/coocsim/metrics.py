@@ -59,19 +59,18 @@ def neighborhood_counts(state: WorldState, target: str, d: float) -> Neighborhoo
     it. Inactive agents keep occupying their patch and are counted on both
     sides.
     """
-    if not d > 0:
-        raise ValueError("neighbourhood distance must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError(f"neighbourhood distance must be a finite positive number, got {d}")
     names = state.population_names
     try:
         target_ix = names.index(target)
     except ValueError:
         raise ValueError(f"target population {target!r} not present") from None
     side = state.side
-    target_mask = state.population_index == target_ix
-    occ = np.zeros((side, side), dtype=np.int64)
-    np.add.at(occ, (state.positions[target_mask, 0], state.positions[target_mask, 1]), 1)
-    covered = disk_sum(occ, side, d) > 0
-    at_agent = covered[state.positions[:, 0], state.positions[:, 1]]
+    patch = state.positions[:, 0] * side + state.positions[:, 1]
+    occ = np.bincount(patch[state.population_index == target_ix], minlength=side * side)
+    covered = disk_sum(occ.reshape(side, side), side, d) > 0
+    at_agent = np.take(covered, patch)
     per_pop = np.bincount(state.population_index[at_agent], minlength=len(names))
     counts = {name: int(per_pop[i]) for i, name in enumerate(names) if i != target_ix}
     average = sum(counts.values()) / len(counts) if counts else 0.0

@@ -56,6 +56,41 @@ def test_every_end_to_end_metric_is_summarized_and_wins_stay_on_wall_s():
     assert out["wall_s"]["change_median"] == 0.215
 
 
+def test_claim_rule_verdicts():
+    """A gain on wall_s is claimed only with at least 9 wins in 10 and a
+    median gap wider than the parent's interquartile range; a metric
+    regresses when its median is worse than the parent's by more than its
+    bound in BENCHMARK.json (0.2 for both here), in the metric's own direction."""
+    bounds = ab_pairs.end_to_end_metrics()
+    assert bounds["wall_s"]["bound"] == bounds["agent_ticks_per_s"]["bound"] == 0.2
+    assert bounds["agent_ticks_per_s"]["better"] == "higher"
+
+    def pairs(walls, rates):
+        return {seed: {"parent": {"wall_s": p, "agent_ticks_per_s": rp},
+                       "change": {"wall_s": c, "agent_ticks_per_s": rc}}
+                for seed, ((p, c), (rp, rc)) in enumerate(zip(walls, rates), start=1)}
+
+    steady = [(100.0, 100.0)] * 10
+    out = ab_pairs.summarize(pairs(zip(PARENT, CHANGE), steady))
+    assert out["claim_met"] and out["regressed"] == {"wall_s": False, "agent_ticks_per_s": False}
+
+    # Nine wins in ten, but 0.3904 - 0.3874 is inside the parent's 0.3854-0.3996.
+    close = [(p, p - 0.003) for p in PARENT[:9]] + [(PARENT[9], PARENT[9] + 0.01)]
+    out = ab_pairs.summarize(pairs(close, steady))
+    assert out["change_wins"] == 9 and not out["claim_met"]
+    # Eight wins in ten of a wide gap are not enough either.
+    eight = list(zip(PARENT, CHANGE))[:8] + [(0.30, 0.31), (0.30, 0.32)]
+    assert not ab_pairs.summarize(pairs(eight, steady))["claim_met"]
+
+    # 25% slower and 25% fewer agent ticks per second are beyond the bound;
+    # 15% of each is within it.
+    out = ab_pairs.summarize(pairs([(0.2, 0.25)] * 10, [(100.0, 75.0)] * 10))
+    assert not out["claim_met"]
+    assert out["regressed"] == {"wall_s": True, "agent_ticks_per_s": True}
+    out = ab_pairs.summarize(pairs([(0.2, 0.23)] * 10, [(100.0, 85.0)] * 10))
+    assert out["regressed"] == {"wall_s": False, "agent_ticks_per_s": False}
+
+
 def test_seed_lists():
     assert ab_pairs.parse_seeds("1-10") == list(range(1, 11))
     assert ab_pairs.parse_seeds("1,4099") == [1, 4099]

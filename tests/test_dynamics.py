@@ -688,6 +688,33 @@ def test_both_ways_of_building_the_field_rows_match_the_oracle(monkeypatch, seve
         assert (len(links) > len(followers)) == several_groups
 
 
+@pytest.mark.parametrize("block", [1, 7, "default"])
+def test_the_move_draw_in_blocks_of_followers_moves_as_all_rows_at_once(monkeypatch, block):
+    """The move law and the CDF inversion work row by row, so any block of
+    follower rows gives the moves of one block over all followers. At tick 0
+    every particle follows (the slice path): the followers span several
+    blocks of each size and end in a partial one. The second step starts
+    after freezes, on the general path."""
+    default = dynamics._MOVE_ROWS
+    followers = default + 1058
+    model = make_toy_model(walkers=300, particles=followers, side=101, seed=5)
+    start = initialize(model, 5)
+    assert start.active.all() and followers % 7 and followers % default
+
+    def two_steps(rows):
+        monkeypatch.setattr(dynamics, "_MOVE_ROWS", rows)
+        states = [start]
+        for _ in range(2):
+            states.append(step(states[-1], model, 5))
+        return states[1:]
+
+    whole = two_steps(start.n_agents)
+    assert not whole[0].active.all()  # the second step starts from a freeze
+    for want, got in zip(whole, two_steps(default if block == "default" else block)):
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.active, want.active)
+
+
 def test_freeze_thresholds_follow_the_link_order_not_the_group_order(monkeypatch):
     """``a`` and ``c`` freeze next to ``d`` within 2 (cardinalities 1 and 3),
     ``b`` next to three other ``b`` within 1 (a self-link). ``a`` and ``c``

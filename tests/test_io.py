@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coocsim import build_model, initialize
 from coocsim.io import (
     COOC_RULE,
+    PALETTE,
     WALK_RULE,
     EdgeList,
     ParseError,
@@ -405,3 +406,20 @@ def test_snapshot_streams_rows_equal_to_the_scaled_image():
     assert b"".join(three.writes) == b"P6\n18 18\n255\n" + scaled.tobytes()
     assert written == sum(len(w) for w in three.writes)
     assert len(three.writes) > 1
+
+    # Side 200 at scale 2 is 480 KB of pixels: several write blocks of whole
+    # patch rows, the last one partial, each from the same reused buffer.
+    pops, xy = rng.integers(0, 4, 20000), rng.integers(0, 200, (20000, 2))
+    big = make_state(200, names, [(names[p], tuple(at), True) for p, at in zip(pops, xy)])
+    pixels = np.zeros((200, 200, 3), dtype=np.uint8)
+    for p, (x, y) in zip(pops, xy):  # in id order, so the last agent on a patch wins
+        pixels[y, x] = PALETTE[p]
+    scaled = np.repeat(np.repeat(pixels, 2, axis=0), 2, axis=1)
+    two = RecordingSink()
+    written = render_snapshot(big, two, scale=2)
+    assert b"".join(two.writes) == b"P6\n400 400\n255\n" + scaled.tobytes()
+    assert written == sum(len(w) for w in two.writes)
+    patch_row = 2 * 400 * 3  # bytes of one patch row of the scaled image
+    block, *middle, tail = (len(w) for w in two.writes[1:])
+    assert len(middle) > 2 and set(middle) == {block} and 0 < tail < block
+    assert block % patch_row == 0 and tail % patch_row == 0

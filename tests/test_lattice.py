@@ -255,3 +255,15 @@ def test_disk_counts_rejects_rows_out_of_group_order(ungrouped):
         disk_counts(7, [1.0, 2.0], point_group, xy, query_group, xy)
     with pytest.raises(ValueError, match="nondecreasing group order"):
         disk_counts(7, [1.0, 2.0], point_group, xy, query_group, xy, OFFSET_ARRAY)
+
+
+def test_disk_counts_rejects_group_indices_outside_the_radii():
+    """A group index names one radius: a row of group 5 under two radii, or
+    of group -1, is refused rather than dropped or sent to the grid."""
+    xy = np.array([(1, 1), (2, 2)])
+    for radii, groups in (([1.0, 2.0], [0, 5]), ([1.0], [0, 5]), ([1.0, 2.0], [-1, 0])):
+        for point_group, query_group in ((groups, [0, 0]), ([0, 0], groups)):
+            with pytest.raises(ValueError, match="group indices"):
+                disk_counts(7, radii, point_group, xy, query_group, xy)
+            with pytest.raises(ValueError, match="group indices"):
+                disk_counts(7, radii, point_group, xy, query_group, xy, OFFSET_ARRAY)

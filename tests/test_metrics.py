@@ -125,7 +125,7 @@ def test_unknown_target_raises():
         neighborhood_counts(state, "ghost", 2.0)
 
 
-@pytest.mark.parametrize("d", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("d", [0.0, -1.0, float("nan"), float("inf")])
 def test_non_positive_or_nan_distance_raises(d):
     state = make_state(9, ("t", "a"), [("t", (1, 1), True), ("a", (1, 2), True)])
     with pytest.raises(ValueError, match="positive"):
