@@ -38,10 +38,12 @@ populations come in another order than here.
 """
 
 import argparse
+import contextlib
 import json
 import statistics
 import time
 from pathlib import Path
+from unittest import mock
 
 from coocsim import build_model, dynamics
 from coocsim.io import build_relation_model, parse_edge_list, parse_matrix, parse_rules
@@ -52,9 +54,9 @@ STAGES = ("uniforms", "field", "deactivation", "move_apply", "other")
 WRAPPED = ("step", "agent_uniforms", "_linked_counts", "_sample_rows")
 
 
-def _instrument(ticks: list[dict]) -> None:
-    """Wrap the ``WRAPPED`` functions of ``dynamics`` so that every step
-    appends its per-stage seconds to ``ticks``."""
+def _instrument(ticks: list[dict]) -> contextlib.ExitStack:
+    """Wrap the ``WRAPPED`` functions of ``dynamics`` until the returned
+    stack closes, so that every step appends its per-stage seconds to ``ticks``."""
     step, uniforms, linked_counts, sample_rows = (getattr(dynamics, name) for name in WRAPPED)
     now = time.perf_counter
     marks: dict = {}
@@ -89,12 +91,11 @@ def _instrument(ticks: list[dict]) -> None:
         ticks.append(dict(row, tick=state.tick, total=total, walk_only="field" not in marks))
         return out
 
-    _install((timed_step, timed_uniforms, timed_linked_counts, timed_sample_rows))
-
-
-def _install(functions) -> None:
-    for name, function in zip(WRAPPED, functions):
-        setattr(dynamics, name, function)
+    stack = contextlib.ExitStack()
+    for name, function in zip(WRAPPED, (timed_step, timed_uniforms, timed_linked_counts,
+                                        timed_sample_rows)):
+        stack.enter_context(mock.patch.object(dynamics, name, function))
+    return stack
 
 
 def _dense_freeze(args):
@@ -138,15 +139,11 @@ def main(argv=None) -> None:
     if args.seed is None:
         args.seed = default_seed
     model, groups = build(args)
-    original = tuple(getattr(dynamics, name) for name in WRAPPED)
     runs = []
     for _ in range(args.repeats):
         ticks: list[dict] = []
-        _instrument(ticks)
-        try:
+        with _instrument(ticks):
             dynamics.run(model)
-        finally:
-            _install(original)
         runs.append(ticks)
     out = {"workload": args.workload, "seed": args.seed, "repeats": args.repeats,
            "walk_only_tick_count": sum(t["walk_only"] for t in runs[0])}

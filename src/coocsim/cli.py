@@ -64,7 +64,8 @@ def _parse_ticks(raw: str, steps: int) -> list[int]:
     return ticks
 
 
-def _read_sizes(path: str) -> dict[str, int]:
+def _read_sizes(path: str, names) -> dict[str, int]:
+    """Sizes by population, each of ``names`` at most once."""
     sizes: dict[str, int] = {}
     for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
@@ -73,6 +74,10 @@ def _read_sizes(path: str) -> dict[str, int]:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise CliError(f"{path}:{line_no}: expected 'name size'")
+        if tokens[0] not in names:
+            raise CliError(f"{path}:{line_no}: population {tokens[0]!r} is not in the matrix")
+        if tokens[0] in sizes:
+            raise CliError(f"{path}:{line_no}: population {tokens[0]!r} is given twice")
         try:
             sizes[tokens[0]] = int(tokens[1])
         except ValueError:
@@ -96,10 +101,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     sizes: int | dict[str, int] = args.size
     if args.sizes:
-        overrides = _read_sizes(args.sizes)
         names = {e.source_family for e in matrix} | {
             e.target_family for e in matrix if e.target_family
         }
+        overrides = _read_sizes(args.sizes, names)
         sizes = {name: overrides.get(name, args.size) for name in names}
 
     model = build_model(

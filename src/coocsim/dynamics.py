@@ -16,7 +16,7 @@ Frozen agents keep their patch for the rest of the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .lattice import (
     disk_counts,
     wrap,
 )
-from .model import FOLLOW_PATH, DEACTIVATE_SOURCE, Model, initialize
+from .model import FOLLOW_PATH, DEACTIVATE_SOURCE, Model, initialize, validate
 from .world import WorldState, agent_uniforms
 
 __all__ = [
@@ -51,7 +51,8 @@ _MOVE_ROWS = 1 << 13
 
 
 class ConfigurationFault(RuntimeError):
-    """Raised when no matrix entry applies to a population at run time."""
+    """Raised for a model that :func:`validate` rejects, or when no matrix
+    entry applies to a population at run time."""
 
 
 def bias_weights(h_plus: np.ndarray, h_minus: np.ndarray, beta: float) -> np.ndarray:
@@ -110,8 +111,7 @@ class TransitionDistribution:
         return int(_sample_rows(self.probabilities[None, :], np.array([u]))[0])
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     order: int
     priority: int
     cardinality: int
@@ -122,42 +122,33 @@ class _Entry:
 
 
 class _Layout:
-    """Index-resolved view of a model; ``run`` builds one and reuses it every tick."""
+    """Index-resolved view of a model; ``run`` builds one and reuses it every tick.
+
+    A model that :func:`validate` rejects raises :class:`ConfigurationFault`
+    naming its first error, so every reference below resolves.
+    """
 
     def __init__(self, model: Model):
+        errors = [d.message for d in validate(model) if d.is_error]
+        if errors:
+            raise ConfigurationFault(
+                f"model has {len(errors)} unresolved error(s), first: {errors[0]}")
         names = model.population_names
         self.n_pops = len(names)
-        self.pop_of = {name: i for i, name in enumerate(names)}
+        pop_of = {name: i for i, name in enumerate(names)}
         rules = model.rules_by_name()
 
         self.entries: list[list[_Entry]] = [[] for _ in range(self.n_pops)]
         groups: list[dict[int, float]] = [{} for _ in range(self.n_pops)]
         for order, raw in enumerate(model.matrix):
-            rule = rules.get(raw.interaction_name)
-            if (rule is None
-                    or raw.source_family not in self.pop_of
-                    or (raw.target_family is not None and raw.target_family not in self.pop_of)
-                    or (rule is not None and rule.movement_action == FOLLOW_PATH
-                        and raw.target_family is None)):
-                raise ConfigurationFault(
-                    f"matrix entry {order} has unresolved references; validate the model first"
-                )
-            source = self.pop_of[raw.source_family]
-            target = self.pop_of[raw.target_family] if raw.target_family is not None else None
-            entry = _Entry(
-                order=order,
-                priority=raw.priority,
-                cardinality=raw.cardinality,
-                movement=rule.movement_action,
-                deactivates=rule.deactivation_action == DEACTIVATE_SOURCE,
-                target=target,
-                distance=raw.distance,
-            )
-            self.entries[source].append(entry)
-            if entry.movement == FOLLOW_PATH and target is not None:
-                prev = groups[source].get(target)
-                if prev is None or entry.distance > prev:
-                    groups[source][target] = entry.distance
+            rule = rules[raw.interaction_name]
+            source = pop_of[raw.source_family]
+            target = None if raw.target_family is None else pop_of[raw.target_family]
+            self.entries[source].append(_Entry(
+                order, raw.priority, raw.cardinality, rule.movement_action,
+                rule.deactivation_action == DEACTIVATE_SOURCE, target, raw.distance))
+            if target is not None:  # a targeted entry follows the path
+                groups[source][target] = max(raw.distance, groups[source].get(target, 0.0))
         # Selection order: highest priority first, file order breaks ties.
         for per_pop in self.entries:
             per_pop.sort(key=lambda e: (-e.priority, e.order))
@@ -370,7 +361,8 @@ def run(
 
     Observers are called with (state, model) at each requested tick; their
     return values are collected per tick in observer order. The whole run is
-    reproducible from (model, seed).
+    reproducible from (model, seed). A model that :func:`validate` rejects
+    raises :class:`ConfigurationFault` before the first tick.
     """
     if seed is None:
         seed = model.params.seed

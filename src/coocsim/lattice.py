@@ -65,9 +65,10 @@ def toroidal_distance(a, b, lattice: Lattice) -> float:
 def within_distance(a, b, side: int, radius: float) -> bool:
     """Inclusion test dist(a, b) <= radius.
 
-    Compared as integer squared distance against radius**2 so that every
-    caller (field kernels, neighbourhood reports, oracles) agrees on
-    boundary patches regardless of sqrt rounding.
+    Compared as integer squared distance against radius**2, as
+    :func:`disk_offsets` builds the disks of the vectorised kernels, so the
+    brute-force test oracles that call it agree with them on boundary
+    patches regardless of sqrt rounding.
     """
     dx = wrapped_delta(a[0], b[0], side)
     dy = wrapped_delta(a[1], b[1], side)
@@ -80,10 +81,12 @@ def disk_offsets(side: int, radius: float) -> np.ndarray:
 
     Returned as an (k, 2) array of signed shifts of at most ``side // 2``
     per axis; each reachable patch appears exactly once even when the disk
-    wraps around the world.
+    wraps around the world. Rows come in row-major order of the shifts, and
+    only the square of shifts within ``radius`` is built, not side x side.
     """
     ring = np.arange(side, dtype=np.int64) - side // 2  # every shift once, toroidal length |shift|
-    out = np.argwhere(ring[:, None] ** 2 + ring ** 2 <= radius * radius) - side // 2
+    near = ring[ring * ring <= radius * radius]  # a run of shifts: the disk's rows and columns
+    out = near[np.argwhere(near[:, None] ** 2 + near ** 2 <= radius * radius)]
     out.setflags(write=False)
     return out
 
@@ -105,10 +108,11 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     query.
 
     Points and queries each come grouped, in nondecreasing group index in
-    [0, len(radii)) (``ValueError`` otherwise), as the callers send them. A
-    batch (at most ``_GRID_CELLS // side**2`` consecutive groups of one
-    radius) takes its rows as slices and stamps a reused int32 grid of at
-    most ``_GRID_CELLS`` cells (4 MB; a cell counts fewer than 2**31 points),
+    [0, len(radii)), and every radius is finite and > 0 (``ValueError``
+    otherwise), as the callers send them. A batch (at most
+    ``_GRID_CELLS // side**2`` consecutive groups of one radius) takes its
+    rows as slices and stamps a reused int32 grid of at most
+    ``_GRID_CELLS`` cells (4 MB; a cell counts fewer than 2**31 points),
     keyed ``((group - first) * side + x) * side + y``. With P points, Q·J
     probed patches and k-patch disks, it stamps every point's disk and reads
     one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
@@ -128,6 +132,9 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
     if any(len(r) and (r[0] < 0 or r[-1] >= n) for r in (point_group, query_group)):
         raise ValueError(f"group indices must lie in [0, {n}), one per radius")
+    bad = [r for r in radii if not 0 < r < math.inf]
+    if bad:
+        raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     runs = [0, *(g for g in range(1, n) if radii[g] != radii[g - 1]), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
     point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]

@@ -131,6 +131,22 @@ def _assert_rejected_before_output(rc, out, err, word):
     assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
 
 
+@pytest.mark.parametrize("lines, word", [
+    ("walkers 200\nparticle 800\n", "'particle' is not in the matrix"),
+    ("walkers 200\nparticles 800\nwalkers 300\n", "'walkers' is given twice"),
+], ids=["unknown_name", "repeated_name"])
+def test_run_rejects_a_sizes_file_the_matrix_does_not_match(tmp_path, capsys, lines, word):
+    """A misspelt population would run at the default size, and a repeated
+    one at its last line; both are refused before any output."""
+    sizes, out = tmp_path / "sizes.txt", tmp_path / "out"
+    sizes.write_text(lines)
+    rc = run_cli(
+        "run", "--rules", DATA / "rules.txt", "--matrix", DATA / "matrix_toy.txt",
+        "--side", 51, "--sizes", sizes, "--steps", 2, "--target", "walkers", "--out", out,
+    )
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, word)
+
+
 def test_run_rejects_zero_distance_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("run", *_run_args(tmp_path, out, **{"--distance": 0}))

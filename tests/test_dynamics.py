@@ -332,6 +332,47 @@ def test_unresolved_references_fault_before_stepping():
         step(state, dangling, 1)
 
 
+def _teleport_model():
+    model = chase_model()
+    rules = tuple(dataclasses.replace(r, movement_action="teleport") if r.name == "walk" else r
+                  for r in model.rules)
+    return dataclasses.replace(model, rules=rules)
+
+
+def _distanceless_model():
+    model = chase_model()
+    chase = dataclasses.replace(model.matrix[2], distance=None)
+    return dataclasses.replace(model, matrix=model.matrix[:2] + (chase,))
+
+
+@pytest.mark.parametrize("make, first_error", [
+    (lambda: chase_model(distance=-1.0), "distance must be a finite positive number"),
+    (_teleport_model, "unknown movement action 'teleport'"),
+    (lambda: chase_model(beta=-5.0), "beta must be a finite nonnegative number"),
+    (lambda: chase_model(distance=float("nan")), "distance must be a finite positive number"),
+    (_distanceless_model, "target family and distance must be given together"),
+], ids=["distance_-1", "teleport", "beta_-5", "distance_nan", "no_distance"])
+def test_every_entry_point_refuses_a_model_validate_rejects(monkeypatch, make, first_error):
+    """``run``, ``step``, ``select_rule``, ``potential_at`` and
+    ``transition_distribution`` raise validate's first error before any tick."""
+    model = make()
+    assert first_error in [d.message for d in validate(model) if d.is_error][0]
+    state = initialize(model, 1)
+    ticks = []
+    monkeypatch.setattr(dynamics, "agent_uniforms", lambda *args: ticks.append(args))
+    calls = [
+        lambda: run(model, report_ticks=[0], observers=[lambda s, m: ticks.append(s.tick)]),
+        lambda: step(state, model, 1),
+        lambda: select_rule(0, state, model),
+        lambda: potential_at((0, 0), 0, state, model),
+        lambda: transition_distribution(0, state, model),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationFault, match=first_error):
+            call()
+    assert ticks == []
+
+
 # ---------------------------------------------------------------------------
 # stepping
 

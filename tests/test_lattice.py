@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,29 @@ def test_disk_offsets_wrap_without_double_counting():
     grid = np.zeros((5, 5), dtype=np.int64)
     grid[2, 2] = 1
     assert (disk_sum(grid, 5, 4.0) == 1).all()
+
+
+@pytest.mark.parametrize("side", [3, 4, 7, 8, 31, 32])
+def test_disk_offsets_equal_the_full_ring_formula(side):
+    """Building only the shifts within the radius keeps every row and its
+    order: on even sides -side/2 is a shift and +side/2 is not."""
+    ring = np.arange(side, dtype=np.int64) - side // 2
+    half = side / 2
+    for radius in (0.5, 1.0, 1.5, 2.0, half - 0.5, half, half + 0.5, side - 1.0, 2.0 * side):
+        full = np.argwhere(ring[:, None] ** 2 + ring ** 2 <= radius * radius) - side // 2
+        got = disk_offsets.__wrapped__(side, radius)
+        assert got.dtype == full.dtype and np.array_equal(got, full), (side, radius)
+
+
+def test_disk_offsets_of_a_small_disk_on_a_large_side_stay_small():
+    """The 13-patch disk on side 3001 needs no side x side temporary."""
+    tracemalloc.start()
+    try:
+        assert len(disk_offsets.__wrapped__(3001, 2.0)) == 13
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_disk_sum_counts_neighbours():
@@ -267,3 +291,14 @@ def test_disk_counts_rejects_group_indices_outside_the_radii():
                 disk_counts(7, radii, point_group, xy, query_group, xy)
             with pytest.raises(ValueError, match="group indices"):
                 disk_counts(7, radii, point_group, xy, query_group, xy, OFFSET_ARRAY)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0, float("inf")])
+def test_disk_counts_rejects_radii_that_are_not_finite_and_positive(radius):
+    """A NaN radius would give an empty disk and divide by zero, and -1
+    would count a point one patch away (radii compare squared); both are
+    refused, as 0 and inf are."""
+    xy, groups = np.array([(1, 1), (2, 1)]), np.array([0, 1])
+    for probes in (None, OFFSET_ARRAY):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            disk_counts(7, [2.0, radius], groups, xy, groups, xy, probes)
