@@ -135,6 +135,7 @@ class _Layout:
                 f"model has {len(errors)} unresolved error(s), first: {errors[0]}")
         names = model.population_names
         self.n_pops = len(names)
+        self.world = (model.lattice.side, names)  # what a state of this model carries
         pop_of = {name: i for i, name in enumerate(names)}
         rules = model.rules_by_name()
 
@@ -157,6 +158,13 @@ class _Layout:
         self.field_groups: list[tuple[tuple[int, float], ...]] = [
             tuple(sorted(g.items())) for g in groups
         ]
+
+    def check(self, state: WorldState) -> None:
+        """Refuse a state whose side or population names are not the model's."""
+        if (state.side, state.population_names) != self.world:
+            raise ValueError(
+                f"state (side {state.side}, populations {state.population_names}) is not of "
+                f"the model (side {self.world[0]}, populations {self.world[1]})")
 
     def select(self, pop: int, active_counts: np.ndarray) -> _Entry:
         for entry in self.entries[pop]:
@@ -211,6 +219,7 @@ def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np
     """Per probe offset, the matrix-linked active neighbours of ``agent_id``
     around ``center`` moved by the offset; the agent itself never counts."""
     layout = _Layout(model)
+    layout.check(state)
     groups = layout.field_groups[int(state.population_index[agent_id])]
     others = state.active & (np.arange(state.n_agents) != agent_id)
     agents, starts = _by_population(others, state.population_index, layout.n_pops)
@@ -247,6 +256,7 @@ def select_rule(agent_id: int, state: WorldState, model: Model):
     break by matrix file order.
     """
     layout = _Layout(model)
+    layout.check(state)
     counts = np.bincount(state.population_index[state.active], minlength=layout.n_pops)
     entry = layout.select(int(state.population_index[agent_id]), counts)
     return model.matrix[entry.order]
@@ -258,12 +268,14 @@ def step(state: WorldState, model: Model, rng_root: int | None = None,
 
     Stateless with respect to randomness: the same (state, model, rng_root)
     always yields the same successor. ``layout`` is ``_Layout(model)``,
-    built here when not given.
+    built here when not given. A state of another side or population
+    order raises ``ValueError``.
     """
     if rng_root is None:
         rng_root = model.params.seed
     if layout is None:
         layout = _Layout(model)
+    layout.check(state)
     side = model.lattice.side
     n_pops = layout.n_pops
     pos = state.positions
@@ -369,7 +381,11 @@ def run(
     wanted = sorted(set(int(t) for t in report_ticks))
     if wanted and (wanted[0] < 0 or wanted[-1] > model.params.max_ticks):
         raise ValueError("report ticks must lie within [0, max_ticks]")
-    state = initialize(model, seed)
+    try:
+        state = initialize(model, seed)
+    except ValueError:  # e.g. a negative size or seed: name validate's first error
+        _Layout(model)
+        raise
     layout = _Layout(model)  # after initialize: set-up time is measured up to placement
     observations: dict[int, tuple] = {}
     if wanted and wanted[0] == 0:

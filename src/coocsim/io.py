@@ -132,8 +132,8 @@ def format_rules(rules: Sequence[InteractionRule]) -> str:
     return "\n".join(blocks)
 
 
-def format_matrix(entries: Sequence[InteractionMatrixEntry], header: bool = True) -> str:
-    lines = [MATRIX_HEADER] if header else []
+def format_matrix(entries: Sequence[InteractionMatrixEntry]) -> str:
+    lines = [MATRIX_HEADER]
     for e in entries:
         line = f"{e.source_family} {e.interaction_name} {e.priority} {e.cardinality}"
         if e.target_family is not None:

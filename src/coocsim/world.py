@@ -42,7 +42,7 @@ class WorldState:
     tick: int
     side: int
     population_names: tuple[str, ...]
-    population_index: np.ndarray  # (n,) int32, static across ticks
+    population_index: np.ndarray  # (n,) int32 in [0, len(population_names)), static across ticks
     positions: np.ndarray         # (n, 2) int64, wrapped into [0, side)
     active: np.ndarray            # (n,) bool
 
@@ -57,6 +57,10 @@ class WorldState:
             raise ValueError("tick must be nonnegative")
         if n and (self.positions.min() < 0 or self.positions.max() >= self.side):
             raise ValueError("positions out of lattice range")
+        k = len(self.population_names)
+        # One pass: a negative index reads as a large unsigned one.
+        if n and self.population_index.view(np.uint32).max() >= k:
+            raise ValueError(f"population index out of range [0, {k})")
 
     @property
     def n_agents(self) -> int:

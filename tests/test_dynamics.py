@@ -373,6 +373,53 @@ def test_every_entry_point_refuses_a_model_validate_rejects(monkeypatch, make, f
     assert ticks == []
 
 
+@pytest.mark.parametrize("size, seed, first_error", [
+    (-1, 3, "population 'chaser' must have size >= 1, got -1"),
+    (1, -1, "seed must fit in 64 unsigned bits, got -1"),
+], ids=["size_-1", "seed_-1"])
+def test_run_names_validates_first_error_for_a_model_it_cannot_place(size, seed, first_error):
+    """Placement fails first on these models, yet ``run`` raises validate's
+    first error; a valid model with a seed placement refuses keeps its error."""
+    model = build_model(parse_rules(CHASE_RULES), chase_model().matrix, side=15, sizes=size,
+                        seed=seed)
+    with pytest.raises(ConfigurationFault, match=first_error):
+        run(model)
+    with pytest.raises(ValueError):
+        run(chase_model(), seed=-1)
+
+
+@pytest.mark.parametrize("make_state_of", [
+    lambda model: initialize(chase_model(side=31), 1),
+    lambda model: initialize(chase_model(side=11), 1),
+    lambda model: dataclasses.replace(initialize(model, 1),
+                                      population_names=model.population_names[::-1]),
+], ids=["wider", "narrower", "population_order"])
+def test_every_entry_point_refuses_a_state_of_another_model(make_state_of):
+    """A state whose side or population names are not the model's is refused
+    with an error naming both, instead of an IndexError, a successor of the
+    wrong side or another population's entry."""
+    model = chase_model(side=15)
+    state = make_state_of(model)
+    calls = [
+        lambda: step(state, model, 1),
+        lambda: select_rule(0, state, model),
+        lambda: potential_at((0, 0), 0, state, model),
+        lambda: transition_distribution(0, state, model),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        for value in (state.side, state.population_names, 15, model.population_names):
+            assert str(value) in str(refused.value)
+
+
+@pytest.mark.parametrize("index", [2, 5, -1])
+def test_world_state_refuses_a_population_index_out_of_range(index):
+    with pytest.raises(ValueError, match=r"population index out of range \[0, 2\)"):
+        dataclasses.replace(make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)]),
+                            population_index=np.array([0, index]))
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
