@@ -20,7 +20,7 @@ kernel's helpers from the outside:
   move draw runs in blocks of followers) to the start of the deactivation
   call (writing the moved positions);
 * ``other``: the rest of the step (finding the active rows, selection,
-  walk draws, move sampling).
+  walk draws, move sampling; at tick 0 also building ``model.layout``).
 
 A stage the step skipped counts as 0 s. Ticks are grouped as ``tick_0``
 (every agent active), ``follow_ticks`` (tick 1 on, with a field call),

@@ -32,7 +32,7 @@ from .io import (
     write_report_csv,
 )
 from .metrics import crowding_indices, neighborhood_counts, significant_from_counts
-from .model import DEFAULT_SEED, build_model, validate
+from .model import DEFAULT_SEED, build_model
 
 
 class CliError(Exception):
@@ -111,14 +111,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rules, matrix, side=args.side, sizes=sizes,
         beta=args.beta, seed=args.seed, max_ticks=args.steps,
     )
-    diagnostics = validate(model)
-    for diag in diagnostics:
-        if not diag.is_error:
-            print(diag, file=sys.stderr)
-    errors = [d for d in diagnostics if d.is_error]
-    if errors:
-        for diag in errors:
-            print(diag, file=sys.stderr)
+    for diag in sorted(model.diagnostics, key=lambda d: d.is_error):  # warnings first
+        print(diag, file=sys.stderr)
+    if any(d.is_error for d in model.diagnostics):
         return 1
     if args.target not in model.population_names:
         raise CliError(f"target population {args.target!r} not present in the matrix")

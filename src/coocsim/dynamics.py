@@ -16,7 +16,7 @@ Frozen agents keep their patch for the rest of the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .lattice import (
     disk_counts,
     wrap,
 )
-from .model import FOLLOW_PATH, DEACTIVATE_SOURCE, Model, initialize, validate
+from .model import FOLLOW_PATH, ConfigurationFault, Model, initialize
 from .world import WorldState, agent_uniforms
 
 __all__ = [
@@ -48,11 +48,6 @@ _INV_TWO_LEN.setflags(write=False)
 #: Follower rows per block of the move draw: the law and the CDF inversion
 #: work row by row, so blocks bound their (rows, 8) temporaries and change no move.
 _MOVE_ROWS = 1 << 13
-
-
-class ConfigurationFault(RuntimeError):
-    """Raised for a model that :func:`validate` rejects, or when no matrix
-    entry applies to a population at run time."""
 
 
 def bias_weights(h_plus: np.ndarray, h_minus: np.ndarray, beta: float) -> np.ndarray:
@@ -111,72 +106,6 @@ class TransitionDistribution:
         return int(_sample_rows(self.probabilities[None, :], np.array([u]))[0])
 
 
-class _Entry(NamedTuple):
-    order: int
-    priority: int
-    cardinality: int
-    movement: str
-    deactivates: bool
-    target: int | None
-    distance: float | None
-
-
-class _Layout:
-    """Index-resolved view of a model; ``run`` builds one and reuses it every tick.
-
-    A model that :func:`validate` rejects raises :class:`ConfigurationFault`
-    naming its first error, so every reference below resolves.
-    """
-
-    def __init__(self, model: Model):
-        errors = [d.message for d in validate(model) if d.is_error]
-        if errors:
-            raise ConfigurationFault(
-                f"model has {len(errors)} unresolved error(s), first: {errors[0]}")
-        names = model.population_names
-        self.n_pops = len(names)
-        self.world = (model.lattice.side, names)  # what a state of this model carries
-        pop_of = {name: i for i, name in enumerate(names)}
-        rules = model.rules_by_name()
-
-        self.entries: list[list[_Entry]] = [[] for _ in range(self.n_pops)]
-        groups: list[dict[int, float]] = [{} for _ in range(self.n_pops)]
-        for order, raw in enumerate(model.matrix):
-            rule = rules[raw.interaction_name]
-            source = pop_of[raw.source_family]
-            target = None if raw.target_family is None else pop_of[raw.target_family]
-            self.entries[source].append(_Entry(
-                order, raw.priority, raw.cardinality, rule.movement_action,
-                rule.deactivation_action == DEACTIVATE_SOURCE, target, raw.distance))
-            if target is not None:  # a targeted entry follows the path
-                groups[source][target] = max(raw.distance, groups[source].get(target, 0.0))
-        # Selection order: highest priority first, file order breaks ties.
-        for per_pop in self.entries:
-            per_pop.sort(key=lambda e: (-e.priority, e.order))
-        # Field groups realise the "any linking entry" reading: a neighbour
-        # counts once if it is in range of the widest entry for its family.
-        self.field_groups: list[tuple[tuple[int, float], ...]] = [
-            tuple(sorted(g.items())) for g in groups
-        ]
-
-    def check(self, state: WorldState) -> None:
-        """Refuse a state whose side or population names are not the model's."""
-        if (state.side, state.population_names) != self.world:
-            raise ValueError(
-                f"state (side {state.side}, populations {state.population_names}) is not of "
-                f"the model (side {self.world[0]}, populations {self.world[1]})")
-
-    def select(self, pop: int, active_counts: np.ndarray) -> _Entry:
-        for entry in self.entries[pop]:
-            if entry.movement != FOLLOW_PATH:
-                return entry
-            if active_counts[entry.target] >= entry.cardinality:
-                return entry
-        raise ConfigurationFault(
-            f"no applicable matrix entry for population index {pop}"
-        )
-
-
 def _by_population(mask: np.ndarray, pop_index: np.ndarray, n_pops: int):
     """Masked agent ids in population order, and each population's start.
     Ids from ``initialize`` already are; only others are sorted."""
@@ -218,7 +147,7 @@ def _linked_counts(side, starts, xy, links, probes=None):
 def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np.ndarray:
     """Per probe offset, the matrix-linked active neighbours of ``agent_id``
     around ``center`` moved by the offset; the agent itself never counts."""
-    layout = _Layout(model)
+    layout = model.layout
     layout.check(state)
     groups = layout.field_groups[int(state.population_index[agent_id])]
     others = state.active & (np.arange(state.n_agents) != agent_id)
@@ -255,26 +184,24 @@ def select_rule(agent_id: int, state: WorldState, model: Model):
     of its target family exist anywhere; a walk entry always applies. Ties
     break by matrix file order.
     """
-    layout = _Layout(model)
+    layout = model.layout
     layout.check(state)
     counts = np.bincount(state.population_index[state.active], minlength=layout.n_pops)
     entry = layout.select(int(state.population_index[agent_id]), counts)
     return model.matrix[entry.order]
 
 
-def step(state: WorldState, model: Model, rng_root: int | None = None,
-         layout: _Layout | None = None) -> WorldState:
+def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldState:
     """Advance the world by one tick.
 
     Stateless with respect to randomness: the same (state, model, rng_root)
-    always yields the same successor. ``layout`` is ``_Layout(model)``,
-    built here when not given. A state of another side or population
-    order raises ``ValueError``.
+    always yields the same successor. The first step of a model builds its
+    ``model.layout``. A state of another side or population order raises
+    ``ValueError``.
     """
     if rng_root is None:
         rng_root = model.params.seed
-    if layout is None:
-        layout = _Layout(model)
+    layout = model.layout
     layout.check(state)
     side = model.lattice.side
     n_pops = layout.n_pops
@@ -374,25 +301,21 @@ def run(
     Observers are called with (state, model) at each requested tick; their
     return values are collected per tick in observer order. The whole run is
     reproducible from (model, seed). A model that :func:`validate` rejects
-    raises :class:`ConfigurationFault` before the first tick.
+    raises :class:`ConfigurationFault` before the agents are placed.
     """
     if seed is None:
         seed = model.params.seed
     wanted = sorted(set(int(t) for t in report_ticks))
     if wanted and (wanted[0] < 0 or wanted[-1] > model.params.max_ticks):
         raise ValueError("report ticks must lie within [0, max_ticks]")
-    try:
-        state = initialize(model, seed)
-    except ValueError:  # e.g. a negative size or seed: name validate's first error
-        _Layout(model)
-        raise
-    layout = _Layout(model)  # after initialize: set-up time is measured up to placement
+    model.require_valid()
+    state = initialize(model, seed)
     observations: dict[int, tuple] = {}
     if wanted and wanted[0] == 0:
         observations[0] = tuple(obs(state, model) for obs in observers)
     remaining = [t for t in wanted if t > 0]
     for tick in range(1, model.params.max_ticks + 1):
-        state = step(state, model, seed, layout)
+        state = step(state, model, seed)
         if remaining and remaining[0] == tick:
             remaining.pop(0)
             observations[tick] = tuple(obs(state, model) for obs in observers)

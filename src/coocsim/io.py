@@ -60,6 +60,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _typed(convert, token: str, line_no: int, must: str):
+    """``convert(token)``, or a :class:`ParseError` saying what the field must be."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ParseError(line_no, f"{must}, got {token!r}") from None
+
+
 def _content_lines(text: str, comment: str) -> Iterable[tuple[int, list[str]]]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -104,23 +112,14 @@ def parse_matrix(text: str) -> list[InteractionMatrixEntry]:
     for line_no, tokens in _content_lines(text, ";"):
         if len(tokens) not in (4, 6):
             raise ParseError(line_no, f"expected 4 or 6 fields, got {len(tokens)}")
-        source, rule = tokens[0], tokens[1]
-        try:
-            priority = int(tokens[2])
-        except ValueError:
-            raise ParseError(line_no, f"priority must be an integer, got {tokens[2]!r}") from None
-        try:
-            cardinality = int(tokens[3])
-        except ValueError:
-            raise ParseError(line_no, f"cardinality must be an integer, got {tokens[3]!r}") from None
+        priority = _typed(int, tokens[2], line_no, "priority must be an integer")
+        cardinality = _typed(int, tokens[3], line_no, "cardinality must be an integer")
         target = distance = None
         if len(tokens) == 6:
             target = tokens[4]
-            try:
-                distance = float(tokens[5])
-            except ValueError:
-                raise ParseError(line_no, f"distance must be a number, got {tokens[5]!r}") from None
-        entries.append(InteractionMatrixEntry(source, rule, priority, cardinality, target, distance))
+            distance = _typed(float, tokens[5], line_no, "distance must be a number")
+        entries.append(InteractionMatrixEntry(tokens[0], tokens[1], priority, cardinality,
+                                              target, distance))
     return entries
 
 
@@ -136,8 +135,9 @@ def format_matrix(entries: Sequence[InteractionMatrixEntry]) -> str:
     lines = [MATRIX_HEADER]
     for e in entries:
         line = f"{e.source_family} {e.interaction_name} {e.priority} {e.cardinality}"
-        if e.target_family is not None:
-            line += f" {e.target_family} {e.distance:g}"
+        if e.target_family is not None:  # 6 digits where they read back exactly, else all
+            d = f"{e.distance:g}"
+            line += f" {e.target_family} {d if float(d) == e.distance else repr(float(e.distance))}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -219,13 +219,12 @@ def build_relation_model(
     if target not in names:
         raise ValueError(f"target {target!r} not present in the edge list")
     first_hop = edges.neighbors(target)
+    kept = {target} | first_hop
     if kind == "restricted":
-        kept = {target} | first_hop
         kept_edges = [e for e in edges.edges if target in e]
     else:
-        kept = {target} | first_hop
-        for name in first_hop:
-            kept |= edges.neighbors(name)
+        # Both ends of every edge that touches the first hop, in one pass.
+        kept.update(name for edge in edges.edges if not first_hop.isdisjoint(edge) for name in edge)
         kept_edges = [e for e in edges.edges if e[0] in kept and e[1] in kept]
 
     populations = (target, *sorted(kept - {target}))
@@ -270,15 +269,11 @@ def read_report_csv(text: str) -> tuple[dict[str, int], float]:
         if not name:
             raise ParseError(line_no, f"expected 'name,count', got {line!r}")
         if name == "_average":
-            try:
-                average = float(value)
-            except ValueError:
-                raise ParseError(line_no, f"average must be a number, got {value!r}") from None
+            average = _typed(float, value, line_no, "average must be a number")
+        elif name in counts:
+            raise ParseError(line_no, f"population {name!r} is given twice")
         else:
-            try:
-                counts[name] = int(value)
-            except ValueError:
-                raise ParseError(line_no, f"count must be an integer, got {value!r}") from None
+            counts[name] = _typed(int, value, line_no, "count must be an integer")
     if average is None:
         raise ParseError(len(lines), "missing _average row")
     return counts, average

@@ -2,12 +2,15 @@
 
 A model is immutable once built; :func:`validate` reports problems as a list
 of diagnostics instead of raising, so callers can show everything at once.
+A model computes its verdict (``diagnostics``) and its compiled rule layout
+(``layout``) once, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,6 +30,11 @@ DEACTIVATION_ACTIONS = frozenset({DEACTIVATE_NONE, DEACTIVATE_SOURCE})
 DEFAULT_SEED = 1729
 
 _MAX_SEED = 2**64
+
+
+class ConfigurationFault(RuntimeError):
+    """Raised for a model that :func:`validate` rejects, or when no matrix
+    entry applies to a population at run time."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,25 @@ class Model:
 
     def rules_by_name(self) -> dict[str, InteractionRule]:
         return {r.name: r for r in self.rules}
+
+    # A frozen model cannot change, so neither cache goes stale;
+    # ``dataclasses.replace`` makes a new model with empty caches.
+    @functools.cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """What :func:`validate` reports for this model."""
+        return tuple(validate(self))
+
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """The compiled rules that ``step`` reads; refuses an invalid model."""
+        return _Layout(self)
+
+    def require_valid(self) -> None:
+        """Raise :class:`ConfigurationFault` naming the first error, if any."""
+        errors = [d.message for d in self.diagnostics if d.is_error]
+        if errors:
+            raise ConfigurationFault(
+                f"model has {len(errors)} unresolved error(s), first: {errors[0]}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +249,69 @@ def validate(model: Model) -> list[Diagnostic]:
             f"for {model.lattice.patch_count} patches; movement may freeze"
         )
     return out
+
+
+class _Entry(NamedTuple):
+    order: int
+    priority: int
+    cardinality: int
+    movement: str
+    deactivates: bool
+    target: int | None
+    distance: float | None
+
+
+class _Layout:
+    """Index-resolved rules of a model, built once per model as ``model.layout``.
+
+    A model that :func:`validate` rejects raises :class:`ConfigurationFault`
+    naming its first error, so every reference below resolves.
+    """
+
+    def __init__(self, model: Model):
+        model.require_valid()
+        names = model.population_names
+        self.n_pops = len(names)
+        self.world = (model.lattice.side, names)  # what a state of this model carries
+        pop_of = {name: i for i, name in enumerate(names)}
+        rules = model.rules_by_name()
+
+        self.entries: list[list[_Entry]] = [[] for _ in range(self.n_pops)]
+        groups: list[dict[int, float]] = [{} for _ in range(self.n_pops)]
+        for order, raw in enumerate(model.matrix):
+            rule = rules[raw.interaction_name]
+            source = pop_of[raw.source_family]
+            target = None if raw.target_family is None else pop_of[raw.target_family]
+            self.entries[source].append(_Entry(
+                order, raw.priority, raw.cardinality, rule.movement_action,
+                rule.deactivation_action == DEACTIVATE_SOURCE, target, raw.distance))
+            if target is not None:  # a targeted entry follows the path
+                groups[source][target] = max(raw.distance, groups[source].get(target, 0.0))
+        # Selection order: highest priority first, file order breaks ties.
+        for per_pop in self.entries:
+            per_pop.sort(key=lambda e: (-e.priority, e.order))
+        # Field groups realise the "any linking entry" reading: a neighbour
+        # counts once if it is in range of the widest entry for its family.
+        self.field_groups: list[tuple[tuple[int, float], ...]] = [
+            tuple(sorted(g.items())) for g in groups
+        ]
+
+    def check(self, state: WorldState) -> None:
+        """Refuse a state whose side or population names are not the model's."""
+        if (state.side, state.population_names) != self.world:
+            raise ValueError(
+                f"state (side {state.side}, populations {state.population_names}) is not of "
+                f"the model (side {self.world[0]}, populations {self.world[1]})")
+
+    def select(self, pop: int, active_counts: np.ndarray) -> _Entry:
+        for entry in self.entries[pop]:
+            if entry.movement != FOLLOW_PATH:
+                return entry
+            if active_counts[entry.target] >= entry.cardinality:
+                return entry
+        raise ConfigurationFault(
+            f"no applicable matrix entry for population index {pop}"
+        )
 
 
 def initialize(model: Model, seed: int | None = None) -> WorldState:

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,23 @@ def matrix_toy_text() -> str:
 @pytest.fixture(scope="session")
 def matrix_small_text() -> str:
     return (DATA / "matrix_small_set.txt").read_text()
+
+
+@pytest.fixture
+def validate_calls(monkeypatch) -> list:
+    """The models ``validate`` is called with, counted through every module
+    binding of it in the package, as the perfbench tracer rebinds them."""
+    import coocsim.model
+
+    original, calls = coocsim.model.validate, []
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    for name, module in list(sys.modules.items()):
+        if name == "coocsim" or name.startswith("coocsim."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls

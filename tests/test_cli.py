@@ -218,6 +218,28 @@ def test_run_option_set_is_pinned(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_validates_the_model_once(tmp_path, validate_calls):
+    """The CLI prints the model's verdict and the run refuses from the same one."""
+    assert run_cli("run", *_run_args(tmp_path, tmp_path / "out")) == 0
+    assert len(validate_calls) == 1
+
+
+def test_run_prints_every_diagnostic_once_before_output(tmp_path, capsys):
+    """Two errors and one warning: each is one line, warnings first, exit 1
+    and no output directory."""
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("a walk 0 0\nb walk -1 0\na nosuch 0 0\na cooc 1 2 b 2\n")
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{"--matrix": matrix, "--target": "b"}))
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: matrix entry 3 (a cooc): cardinality 2 has no special meaning beyond a count threshold",
+        "error: matrix entry 1 (b walk): priority must be nonnegative, got -1",
+        "error: matrix entry 2 (a nosuch): unknown rule 'nosuch'",
+    ]
+
+
 def test_run_crowding_warning_on_stderr(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("run", *_run_args(tmp_path, out, **{"--size": 100}))

@@ -17,7 +17,7 @@ from coocsim import (
     step,
     transition_distribution,
 )
-from coocsim import dynamics, lattice
+from coocsim import dynamics, lattice, model as model_module
 from coocsim.io import build_relation_model, parse_edge_list, parse_rules
 from coocsim.lattice import OFFSET_ARRAY
 from coocsim.model import InteractionMatrixEntry, validate
@@ -388,6 +388,34 @@ def test_run_names_validates_first_error_for_a_model_it_cannot_place(size, seed,
         run(chase_model(), seed=-1)
 
 
+def test_a_model_is_validated_and_compiled_once_across_entry_points(validate_calls, monkeypatch):
+    """``run``, ``step`` and the per-agent queries share one verdict and one
+    rule layout per model; a replaced model gets its own."""
+    built = []
+
+    class CountedLayout(model_module._Layout):
+        def __init__(self, model):
+            built.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(model_module, "_Layout", CountedLayout)
+    model = hub_and_ring_model(seed=5, max_ticks=2)
+    run(model, report_ticks=[2])
+    state = initialize(model, 5)
+    for _ in range(3):
+        state = step(state, model)
+    agent = int(np.flatnonzero(state.active)[0])
+    select_rule(agent, state, model)
+    potential_at((0, 0), agent, state, model)
+    transition_distribution(agent, state, model)
+    assert validate_calls == [model] and built == [model]
+
+    refused = dataclasses.replace(model, params=dataclasses.replace(model.params, beta=-1.0))
+    with pytest.raises(ConfigurationFault, match="beta must be a finite nonnegative number"):
+        step(state, refused)
+    assert validate_calls == [model, refused] and built == [model, refused]
+
+
 @pytest.mark.parametrize("make_state_of", [
     lambda model: initialize(chase_model(side=31), 1),
     lambda model: initialize(chase_model(side=11), 1),
@@ -539,8 +567,8 @@ def test_step_matches_reference_on_an_extended_hub_and_ring():
 
 
 def test_run_equals_a_hand_loop_of_step_on_the_hub_and_ring():
-    """``run`` reuses one rule layout for every tick; stepping by hand builds
-    one per call. Both must give the same observations and final state."""
+    """``run`` and a hand loop of ``step`` read the same rule layout; both
+    must give the same observations and final state."""
     model = hub_and_ring_model(seed=5, max_ticks=6)
     observe = [lambda s, m: s.positions.copy(), lambda s, m: s.active.copy()]
     result = run(model, report_ticks=[0, 2, 6], observers=observe, seed=5)

@@ -122,11 +122,12 @@ def test_parse_matrix_preserves_order_and_skips_comments():
 
 
 NAME = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True)
+DISTANCE = st.one_of(st.integers(1, 9), st.floats(0.0, exclude_min=True, allow_infinity=False))
 
 
 @given(st.lists(
     st.tuples(NAME, NAME, st.integers(0, 9), st.integers(0, 3),
-              st.one_of(st.none(), st.tuples(NAME, st.integers(1, 9)))),
+              st.one_of(st.none(), st.tuples(NAME, DISTANCE))),
     max_size=12,
 ))
 @settings(max_examples=100)
@@ -140,6 +141,12 @@ def test_matrix_round_trip(rows):
             entries.append(InteractionMatrixEntry(source, rule, priority, cardinality,
                                                   target, float(dist)))
     assert parse_matrix(format_matrix(entries)) == entries
+
+
+def test_format_matrix_writes_integral_distances_short_and_others_exactly():
+    entries = [InteractionMatrixEntry("a", "cooc", 1, 1, "b", d) for d in (2.0, 2.2360679, 1.5)]
+    assert format_matrix(entries).splitlines()[1:] == [
+        "a cooc 1 1 b 2", "a cooc 1 1 b 2.2360679", "a cooc 1 1 b 1.5"]
 
 
 def test_rules_round_trip(rules_text):
@@ -256,6 +263,39 @@ def test_restricted_counts_follow_target_degree(raw):
     assert rel.relation_count == degree
 
 
+class _CountedEdges(tuple):
+    """Edges that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        type(self).passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extended_keeps_the_brute_force_two_hop_set(seed, monkeypatch):
+    """A hub plus random noise edges: ``extended`` keeps every name within two
+    hops of the target, and every edge among them, in a fixed number of
+    passes over the edges rather than one per first-hop name."""
+    rng = np.random.default_rng(seed)
+    names = [f"n{i:03d}" for i in range(120)]
+    pairs = [("hub", names[i]) for i in rng.choice(120, 15, replace=False)]
+    pairs += [(names[a], names[b]) for a, b in rng.integers(0, 120, (150, 2))]
+    edges = parse_edge_list("\n".join(f"{a} {b}" for a, b in pairs))
+    monkeypatch.setattr(_CountedEdges, "passes", 0)
+    rel = build_relation_model(EdgeList(_CountedEdges(edges.edges)), "hub", "extended")
+    assert _CountedEdges.passes <= 4  # names, first hop, second hop, kept edges
+    adjacent = lambda name: {b if a == name else a for a, b in edges.edges if name in (a, b)}
+    reach = {"hub"} | adjacent("hub")
+    for name in adjacent("hub"):
+        reach |= adjacent(name)
+    assert rel.populations == ("hub", *sorted(reach - {"hub"}))
+    linked = {(e.source_family, e.target_family) for e in rel.matrix if e.target_family}
+    assert linked == {e for e in edges.edges if e[0] in reach and e[1] in reach}
+    assert len(reach) < len(edges.names)  # the noise reaches past two hops
+
+
 def test_generated_model_is_runnable():
     edges = parse_edge_list("t a\nt b\na b\n")
     rel = build_relation_model(edges, "t", "extended")
@@ -315,6 +355,11 @@ def test_report_reader_rejects_bad_input():
         read_report_csv("population,count\na,1\n")
     with pytest.raises(ParseError, match="after"):
         read_report_csv("population,count\n_average,1.0\na,1\n")
+
+
+def test_report_reader_rejects_a_population_given_twice():
+    with pytest.raises(ParseError, match="line 4: population 'a' is given twice"):
+        read_report_csv("population,count\na,1\nb,9\na,30\n_average,5.0\n")
 
 
 # ---------------------------------------------------------------------------
