@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -27,12 +28,13 @@ from .io import (
     parse_edge_list,
     parse_matrix,
     parse_rules,
+    parse_sizes,
     read_report_csv,
     render_snapshot,
     write_report_csv,
 )
 from .metrics import crowding_indices, neighborhood_counts, significant_from_counts
-from .model import DEFAULT_SEED, build_model
+from .model import DEFAULT_SEED, PopulationSpec, build_model
 
 
 class CliError(Exception):
@@ -64,27 +66,6 @@ def _parse_ticks(raw: str, steps: int) -> list[int]:
     return ticks
 
 
-def _read_sizes(path: str, names) -> dict[str, int]:
-    """Sizes by population, each of ``names`` at most once."""
-    sizes: dict[str, int] = {}
-    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise CliError(f"{path}:{line_no}: expected 'name size'")
-        if tokens[0] not in names:
-            raise CliError(f"{path}:{line_no}: population {tokens[0]!r} is not in the matrix")
-        if tokens[0] in sizes:
-            raise CliError(f"{path}:{line_no}: population {tokens[0]!r} is given twice")
-        try:
-            sizes[tokens[0]] = int(tokens[1])
-        except ValueError:
-            raise CliError(f"{path}:{line_no}: size must be an integer") from None
-    return sizes
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if not 0 < args.distance < float("inf"):
         raise CliError(f"--distance must be a finite positive number, got {args.distance}")
@@ -99,18 +80,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ParseError as exc:
         raise CliError(f"{args.matrix}: {exc}") from exc
 
-    sizes: int | dict[str, int] = args.size
-    if args.sizes:
-        names = {e.source_family for e in matrix} | {
-            e.target_family for e in matrix if e.target_family
-        }
-        overrides = _read_sizes(args.sizes, names)
-        sizes = {name: overrides.get(name, args.size) for name in names}
-
     model = build_model(
-        rules, matrix, side=args.side, sizes=sizes,
+        rules, matrix, side=args.side, sizes=args.size,
         beta=args.beta, seed=args.seed, max_ticks=args.steps,
     )
+    if args.sizes:  # the file's sizes over --size
+        try:
+            sizes = parse_sizes(_read_text(args.sizes), model.population_names)
+        except ParseError as exc:
+            raise CliError(f"{args.sizes}: {exc}") from exc
+        model = replace(model, populations=tuple(
+            PopulationSpec(p.name, sizes.get(p.name, p.size)) for p in model.populations))
     for diag in sorted(model.diagnostics, key=lambda d: d.is_error):  # warnings first
         print(diag, file=sys.stderr)
     if any(d.is_error for d in model.diagnostics):

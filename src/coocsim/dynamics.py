@@ -27,7 +27,7 @@ from .lattice import (
     wrap,
 )
 from .model import FOLLOW_PATH, ConfigurationFault, Model, initialize
-from .world import WorldState, agent_uniforms
+from .world import WorldState, _owned, agent_uniforms
 
 __all__ = [
     "ConfigurationFault",
@@ -90,16 +90,13 @@ class TransitionDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=float)
+        probs = _owned(self.probabilities, float)
         if probs.shape != (8,):
             raise ValueError("expected 8 probabilities, one per direction")
         if (probs < 0).any():
             raise ValueError("negative transition probability")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("transition probabilities must sum to 1")
-        if probs.flags.writeable:
-            probs = probs.copy()
-            probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
     def sample(self, u: float) -> int:
@@ -305,7 +302,9 @@ def run(
     """
     if seed is None:
         seed = model.params.seed
-    wanted = sorted(set(int(t) for t in report_ticks))
+    wanted = sorted({int(t) for t in report_ticks})
+    if set(report_ticks) != set(wanted):  # int(1.5) would observe tick 1
+        raise ValueError("report ticks must be integers")
     if wanted and (wanted[0] < 0 or wanted[-1] > model.params.max_ticks):
         raise ValueError("report ticks must lie within [0, max_ticks]")
     model.require_valid()

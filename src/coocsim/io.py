@@ -11,10 +11,11 @@ optional target/distance pair::
 
     source-family interaction-name priority cardinality [target-family distance]
 
-Edge lists hold one unordered ``name name`` pair per line. Lines starting
-with ``;`` (rules, matrix) or ``#`` (edge lists) are comments; blank lines
-are ignored everywhere. Reports are written as ``population,count`` CSV
-with a trailing ``_average`` row, snapshots as binary P6 pixmaps.
+Edge lists hold one unordered ``name name`` pair per line, sizes files one
+``name size`` pair. Lines starting with ``;`` (rules, matrix) or ``#`` (edge
+lists, sizes) are comments; blank lines are ignored everywhere. Reports are
+written as ``population,count`` CSV with a trailing ``_average`` row,
+snapshots as binary P6 pixmaps.
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ def parse_matrix(text: str) -> list[InteractionMatrixEntry]:
         entries.append(InteractionMatrixEntry(tokens[0], tokens[1], priority, cardinality,
                                               target, distance))
     return entries
+
+
+def parse_sizes(text: str, names) -> dict[str, int]:
+    """Sizes by population, each of ``names`` at most once."""
+    sizes: dict[str, int] = {}
+    for line_no, tokens in _content_lines(text, "#"):
+        if len(tokens) != 2:
+            raise ParseError(line_no, f"expected 'name size', got {len(tokens)} fields")
+        name, size = tokens
+        if name not in names:
+            raise ParseError(line_no, f"population {name!r} is not in the matrix")
+        if name in sizes:
+            raise ParseError(line_no, f"population {name!r} is given twice")
+        sizes[name] = _typed(int, size, line_no, "size must be an integer")
+    return sizes
 
 
 def format_rules(rules: Sequence[InteractionRule]) -> str:
@@ -279,13 +295,19 @@ def read_report_csv(text: str) -> tuple[dict[str, int], float]:
     return counts, average
 
 
+#: Pixels per side of a patch's block in a snapshot, and per colour (black
+#: last) the block's pixel row: the colour ``_SCALE`` times.
+_SCALE = 8
+_COLOUR_ROWS = np.tile(np.array(PALETTE + ((0, 0, 0),), dtype=np.uint8), _SCALE)
+_COLOUR_ROWS.setflags(write=False)
+
 #: Bytes per ``sink.write`` of :func:`render_snapshot`, in whole patch rows (one at least).
 #: Small enough that the reused buffer stays in cache and comes from the heap, not a fresh mapping.
 _WRITE_BYTES = 1 << 16
 
 
-def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
-    """Stream the world as a binary P6 pixmap, one scale x scale block per patch.
+def render_snapshot(state: WorldState, sink: BinaryIO) -> int:
+    """Stream the world as a binary P6 pixmap, one 8x8 pixel block per patch.
 
     A patch shows the colour of the last agent (in id order) occupying it;
     frozen agents keep their patch. Empty patches are black. Output bytes
@@ -294,17 +316,13 @@ def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
     buffer reused across writes, so the sink must consume the bytes before
     ``write`` returns (files and ``BytesIO`` do).
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    side = state.side
+    side, scale = state.side, _SCALE
     # The highest agent id per patch, stated explicitly: numpy leaves the
     # winner among duplicate indices of a plain assignment unspecified.
     last = np.full(side * side, -1, dtype=np.int64)
     np.maximum.at(last, state.positions[:, 1] * side + state.positions[:, 0],
                   np.arange(state.n_agents))
     colour = np.append(state.population_index % len(PALETTE), len(PALETTE))  # no agent (-1): black
-    # One row of this table is a patch's scale pixels: its colour repeated scale times.
-    table = np.tile(np.array(PALETTE + ((0, 0, 0),), dtype=np.uint8), scale)
     patch_rows = colour[last].reshape(side, side)
     header = f"P6\n{side * scale} {side * scale}\n255\n".encode("ascii")
     sink.write(header)
@@ -316,7 +334,7 @@ def render_snapshot(state: WorldState, sink: BinaryIO, scale: int = 8) -> int:
         n = min(per_block, side - lo)
         # The first image row of each patch row, then its copies. No index
         # clips; numpy fills ``out`` in place only when the mode is not "raise".
-        np.take(table, patch_rows[lo:lo + n], axis=0, out=block[:n, 0], mode="clip")
+        np.take(_COLOUR_ROWS, patch_rows[lo:lo + n], axis=0, out=block[:n, 0], mode="clip")
         image_rows[:n, 1:] = image_rows[:n, :1]
         sink.write(image_rows[:n].reshape(-1))
     return len(header) + side * scale * row_bytes

@@ -49,30 +49,10 @@ def wrap(pos, lattice: Lattice) -> tuple[int, int]:
     return int(x) % lattice.side, int(y) % lattice.side
 
 
-def wrapped_delta(a: int, b: int, side: int) -> int:
-    """Shortest separation of two coordinates on a ring of length ``side``."""
-    d = abs(int(a) - int(b)) % side
-    return min(d, side - d)
-
-
 def toroidal_distance(a, b, lattice: Lattice) -> float:
-    """Euclidean distance between two patches using wrapped per-axis deltas."""
-    dx = wrapped_delta(a[0], b[0], lattice.side)
-    dy = wrapped_delta(a[1], b[1], lattice.side)
-    return math.hypot(dx, dy)
-
-
-def within_distance(a, b, side: int, radius: float) -> bool:
-    """Inclusion test dist(a, b) <= radius.
-
-    Compared as integer squared distance against radius**2, as
-    :func:`disk_offsets` builds the disks of the vectorised kernels, so the
-    brute-force test oracles that call it agree with them on boundary
-    patches regardless of sqrt rounding.
-    """
-    dx = wrapped_delta(a[0], b[0], side)
-    dy = wrapped_delta(a[1], b[1], side)
-    return dx * dx + dy * dy <= radius * radius
+    """Euclidean distance between two patches: per axis, the shorter way round."""
+    dx, dy = (abs(int(p) - int(q)) % lattice.side for p, q in zip(a, b))
+    return math.hypot(min(dx, lattice.side - dx), min(dy, lattice.side - dy))
 
 
 @lru_cache(maxsize=None)

@@ -21,10 +21,13 @@ class AgentView(NamedTuple):
 
 
 def _owned(arr, dtype) -> np.ndarray:
-    out = np.asarray(arr, dtype=dtype)
-    if out.flags.writeable:
-        out = out.copy()
-        out.setflags(write=False)
+    """``arr`` as a read-only ``dtype`` array, copied unless it is one already;
+    ``ValueError`` if the cast to ``dtype`` would change a value."""
+    given = np.asarray(arr)
+    out = given.astype(dtype) if given.dtype != dtype or given.flags.writeable else given
+    if out.dtype != given.dtype and (out != given).any():
+        raise ValueError(f"{given[out != given][0]} changes when cast to {out.dtype}")
+    out.setflags(write=False)
     return out
 
 
@@ -47,7 +50,13 @@ class WorldState:
     active: np.ndarray            # (n,) bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "population_index", _owned(self.population_index, np.int32))
+        index, k = np.asarray(self.population_index), len(self.population_names)
+        # Int32 in one pass, a negative index reading as a large unsigned one;
+        # any other type before the cast, which would wrap 2**32 to 0.
+        if index.size and (index.view(np.uint32).max() >= k if index.dtype == np.int32
+                           else not 0 <= index.min() <= index.max() < k):
+            raise ValueError(f"population index out of range [0, {k})")
+        object.__setattr__(self, "population_index", _owned(index, np.int32))
         object.__setattr__(self, "positions", _owned(self.positions, np.int64))
         object.__setattr__(self, "active", _owned(self.active, bool))
         n = self.population_index.shape[0]
@@ -57,10 +66,6 @@ class WorldState:
             raise ValueError("tick must be nonnegative")
         if n and (self.positions.min() < 0 or self.positions.max() >= self.side):
             raise ValueError("positions out of lattice range")
-        k = len(self.population_names)
-        # One pass: a negative index reads as a large unsigned one.
-        if n and self.population_index.view(np.uint32).max() >= k:
-            raise ValueError(f"population index out of range [0, {k})")
 
     @property
     def n_agents(self) -> int:

@@ -33,6 +33,8 @@ from reference import (
     make_state,
     make_toy_model,
     make_walk_model,
+    oracle_neighborhood_counts,
+    oracle_potential,
     uniform_placement_fraction,
 )
 
@@ -156,54 +158,11 @@ def test_criterion_5_diffusion_moments():
             f"within 3se={drift_ok}, n={est.samples}", started)
 
 
-def _pairwise_cover_counts(state, target, d):
-    """Independent N^2 oracle: per population, agents near any target agent."""
-    side = state.side
-    tmask = np.array([name == target for name in state.population_names])[state.population_index]
-    tpos = state.positions[tmask]
-    counts = {}
-    for i, name in enumerate(state.population_names):
-        if name == target:
-            continue
-        pts = state.positions[state.population_index == i]
-        if len(tpos) == 0 or len(pts) == 0:
-            counts[name] = 0
-            continue
-        dx = np.abs(pts[:, None, 0] - tpos[None, :, 0])
-        dx = np.minimum(dx, side - dx)
-        dy = np.abs(pts[:, None, 1] - tpos[None, :, 1])
-        dy = np.minimum(dy, side - dy)
-        counts[name] = int(((dx * dx + dy * dy) <= d * d).any(axis=1).sum())
-    return counts
-
-
-def _loop_potential(candidate, agent_id, state, model, entries):
-    side = state.side
-    me_pop = state.population_names[state.population_index[agent_id]]
-    total = 0
-    for j in range(state.n_agents):
-        if j == agent_id or not state.active[j]:
-            continue
-        other_pop = state.population_names[state.population_index[j]]
-        for entry in entries:
-            if entry.source_family != me_pop or entry.target_family != other_pop:
-                continue
-            dx = abs(int(state.positions[j, 0]) - candidate[0]) % side
-            dx = min(dx, side - dx)
-            dy = abs(int(state.positions[j, 1]) - candidate[1]) % side
-            dy = min(dy, side - dy)
-            if dx * dx + dy * dy <= entry.distance ** 2:
-                total += 1
-                break
-    return total
-
-
 def test_criterion_6_brute_force_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     model = make_small_set_model(size=40, side=23)
     names = model.population_names
-    cooc_entries = [e for e in model.matrix if e.target_family is not None]
     mismatches = 0
     for _ in range(100):
         n_per = int(rng.integers(5, 39))  # 13 populations -> up to 507 agents
@@ -214,13 +173,13 @@ def test_criterion_6_brute_force_equivalence():
         state = make_state(23, names, rows)
         d = float(rng.choice([1.0, 2.0, 3.0]))
         report = neighborhood_counts(state, "walkers", d)
-        if report.counts != _pairwise_cover_counts(state, "walkers", d):
+        if report.counts != oracle_neighborhood_counts(state, "walkers", d)[0]:
             mismatches += 1
         for _ in range(3):
             agent = int(rng.integers(0, len(rows)))
             cand = (int(rng.integers(0, 23)), int(rng.integers(0, 23)))
             got = potential_at(cand, agent, state, model)
-            want = _loop_potential(cand, agent, state, model, cooc_entries)
+            want = oracle_potential(cand, agent, state, model)
             if got != want:
                 mismatches += 1
     _report("6 brute-force equivalence", mismatches == 0,

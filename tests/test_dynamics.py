@@ -441,11 +441,35 @@ def test_every_entry_point_refuses_a_state_of_another_model(make_state_of):
             assert str(value) in str(refused.value)
 
 
-@pytest.mark.parametrize("index", [2, 5, -1])
+@pytest.mark.parametrize("index", [2, 5, -1, 2**32])
 def test_world_state_refuses_a_population_index_out_of_range(index):
+    """An int64 index of 2**32 would wrap to population 0 under the int32 cast."""
     with pytest.raises(ValueError, match=r"population index out of range \[0, 2\)"):
         dataclasses.replace(make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)]),
-                            population_index=np.array([0, index]))
+                            population_index=np.array([0, index], dtype=np.int64))
+
+
+@pytest.mark.parametrize("field, values", [
+    ("positions", [[1, 1], [0.9, 4.7]]),
+    ("population_index", [0, 0.5]),
+    ("active", [1, 2]),
+], ids=["float_positions", "float_index", "int_active"])
+def test_world_state_refuses_values_the_cast_would_change(field, values):
+    """Positions would truncate to [0, 4], an index to population 0 and an
+    activity flag of 2 to True; each is refused rather than silently cast."""
+    state = make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)])
+    with pytest.raises(ValueError, match="changes when cast to"):
+        dataclasses.replace(state, **{field: np.array(values)})
+
+
+def test_world_state_accepts_values_the_cast_keeps():
+    state = dataclasses.replace(
+        make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)]),
+        population_index=[0, 1.0], positions=np.array([[1, 1], [0.0, 4.0]]), active=[1, 0])
+    assert state.population_index.dtype == np.int32 and state.population_index.tolist() == [0, 1]
+    assert state.positions.dtype == np.int64 and state.positions.tolist() == [[1, 1], [0, 4]]
+    assert state.active.tolist() == [True, False]
+    assert not any(a.flags.writeable for a in (state.population_index, state.positions, state.active))
 
 
 # ---------------------------------------------------------------------------
@@ -1065,6 +1089,15 @@ def test_run_reports_requested_ticks():
     assert sorted(result.observations) == [0, 3, 10]
     assert result.observations[3] == (3,)
     assert result.final_state.tick == 10
+
+
+@pytest.mark.parametrize("tick", [1.5, 0.25])
+def test_run_refuses_a_report_tick_that_is_not_integral(tick):
+    """``int(1.5)`` would observe tick 1 in place of the tick asked for."""
+    model = make_toy_model(walkers=10, particles=10, side=21, seed=8, max_ticks=5)
+    with pytest.raises(ValueError, match="report ticks must be integers"):
+        run(model, report_ticks=[0, tick], observers=[lambda s, m: s.tick])
+    assert sorted(run(model, report_ticks=[1.0, np.int64(3)]).observations) == [1, 3]
 
 
 def test_run_without_report_ticks_returns_final_state_only():

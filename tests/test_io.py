@@ -17,6 +17,7 @@ from coocsim.io import (
     parse_edge_list,
     parse_matrix,
     parse_rules,
+    parse_sizes,
     read_report_csv,
     render_snapshot,
     write_report_csv,
@@ -187,6 +188,29 @@ def test_edge_list_arity_error():
     with pytest.raises(ParseError) as exc:
         parse_edge_list("a b c\n")
     assert exc.value.line_no == 1
+
+
+# ---------------------------------------------------------------------------
+# sizes files
+
+def test_sizes_skip_blank_and_comment_lines():
+    text = "# demo split\n\nwalkers 200\n   \n  # indented comment\nparticles 800\n"
+    assert parse_sizes(text, ("walkers", "particles", "idle")) == {"walkers": 200, "particles": 800}
+    assert parse_sizes("# nothing\n", ("walkers",)) == {}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("walkers 200\nparticles\n", "line 2: expected 'name size', got 1 fields"),
+    ("# x\nwalkers 200 3\n", "line 2: expected 'name size', got 3 fields"),
+    ("walkers 2.5\n", "line 1: size must be an integer, got '2.5'"),
+    ("walkers 200\n\nparticle 800\n", "line 3: population 'particle' is not in the matrix"),
+    ("walkers 200\nparticles 800\nwalkers 300\n", "line 3: population 'walkers' is given twice"),
+], ids=["too_few_fields", "too_many_fields", "non_integer_size", "unknown_name", "repeated_name"])
+def test_sizes_refusals_name_their_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_sizes(text, ("walkers", "particles"))
+    assert str(exc.value) == message
+    assert exc.value.line_no == int(message.split()[1].rstrip(":"))
 
 
 # ---------------------------------------------------------------------------
@@ -365,33 +389,51 @@ def test_report_reader_rejects_a_population_given_twice():
 # ---------------------------------------------------------------------------
 # snapshots
 
+def _patches(data: bytes, side: int) -> np.ndarray:
+    """The (side, side, 3) patch colours of a snapshot, row = y and column =
+    x, after checking that every patch is one uniform 8x8 pixel block."""
+    header = f"P6\n{8 * side} {8 * side}\n255\n".encode("ascii")
+    assert data.startswith(header) and len(data) == len(header) + 3 * (8 * side) ** 2
+    blocks = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(side, 8, side, 8, 3)
+    assert (blocks == blocks[:, :1, :, :1]).all()
+    return blocks[:, 0, :, 0]
+
+
+def _expected_patches(state) -> np.ndarray:
+    """Patch colours drawn in id order, so the last agent on a patch wins."""
+    patches = np.zeros((state.side, state.side, 3), dtype=np.uint8)
+    for agent in state.agents():
+        x, y = agent.position
+        patches[y, x] = PALETTE[state.population_names.index(agent.population) % len(PALETTE)]
+    return patches
+
+
 def test_snapshot_empty_world_is_black():
     empty = make_state(3, ("a",), [])
     sink = stdio.BytesIO()
-    n = render_snapshot(empty, sink, scale=1)
-    assert sink.getvalue() == b"P6\n3 3\n255\n" + b"\x00" * 27
-    assert n == len(b"P6\n3 3\n255\n") + 27
+    n = render_snapshot(empty, sink)
+    assert not _patches(sink.getvalue(), 3).any()
+    assert n == len(sink.getvalue()) == len(b"P6\n24 24\n255\n") + 24 * 24 * 3
 
 
 def test_snapshot_single_agent_single_block():
     state = make_state(3, ("a",), [("a", (0, 0), True)])
     sink = stdio.BytesIO()
-    render_snapshot(state, sink, scale=1)
-    pixels = sink.getvalue()[len(b"P6\n3 3\n255\n"):]
-    non_black = [i for i in range(9) if pixels[3 * i: 3 * i + 3] != b"\x00\x00\x00"]
-    assert non_black == [0]
+    render_snapshot(state, sink)
+    patches = _patches(sink.getvalue(), 3)
+    assert [(r, c) for r in range(3) for c in range(3) if patches[r, c].any()] == [(0, 0)]
+    assert tuple(patches[0, 0]) == PALETTE[0]
 
 
 def test_snapshot_scale_blocks():
     state = make_state(3, ("a",), [("a", (1, 2), True)])
     sink = stdio.BytesIO()
-    render_snapshot(state, sink, scale=2)
+    render_snapshot(state, sink)
     data = sink.getvalue()
-    assert data.startswith(b"P6\n6 6\n255\n")
-    body = data[len(b"P6\n6 6\n255\n"):]
-    img = np.frombuffer(body, dtype=np.uint8).reshape(6, 6, 3)
-    lit = {(r, c) for r in range(6) for c in range(6) if img[r, c].any()}
-    assert lit == {(4, 2), (4, 3), (5, 2), (5, 3)}   # row = y, col = x
+    assert data.startswith(b"P6\n24 24\n255\n")
+    img = np.frombuffer(data[len(b"P6\n24 24\n255\n"):], dtype=np.uint8).reshape(24, 24, 3)
+    lit = {(r, c) for r in range(24) for c in range(24) if img[r, c].any()}
+    assert lit == {(r, c) for r in range(16, 24) for c in range(8, 16)}   # row = y, col = x
 
 
 def test_snapshot_bytes_deterministic():
@@ -406,10 +448,8 @@ def test_snapshot_bytes_deterministic():
 def test_snapshot_last_agent_in_id_order_wins():
     state = make_state(4, ("a", "b"), [("a", (1, 1), True), ("b", (1, 1), True)])
     sink = stdio.BytesIO()
-    render_snapshot(state, sink, scale=1)
-    img = np.frombuffer(sink.getvalue()[len(b"P6\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4, 3)
-    from coocsim.io import PALETTE
-    assert tuple(img[1, 1]) == PALETTE[1]
+    render_snapshot(state, sink)
+    assert tuple(_patches(sink.getvalue(), 4)[1, 1]) == PALETTE[1]
 
 
 def test_snapshot_highest_id_wins_among_interleaved_populations():
@@ -418,12 +458,11 @@ def test_snapshot_highest_id_wins_among_interleaved_populations():
             ("a", (0, 3), True)]
     state = make_state(4, ("a", "b"), rows)
     sink = stdio.BytesIO()
-    render_snapshot(state, sink, scale=1)
-    img = np.frombuffer(sink.getvalue()[len(b"P6\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4, 3)
-    from coocsim.io import PALETTE
-    assert tuple(img[1, 2]) == PALETTE[0]   # agent 3 of "a" is the last on (2, 1)
-    assert tuple(img[3, 0]) == PALETTE[0]   # agent 6 of "a" is the last on (0, 3)
-    lit = {(r, c) for r in range(4) for c in range(4) if img[r, c].any()}
+    render_snapshot(state, sink)
+    patches = _patches(sink.getvalue(), 4)
+    assert tuple(patches[1, 2]) == PALETTE[0]   # agent 3 of "a" is the last on (2, 1)
+    assert tuple(patches[3, 0]) == PALETTE[0]   # agent 6 of "a" is the last on (0, 3)
+    lit = {(r, c) for r in range(4) for c in range(4) if patches[r, c].any()}
     assert lit == {(1, 2), (3, 0)}
 
 
@@ -443,28 +482,21 @@ def test_snapshot_streams_rows_equal_to_the_scaled_image():
             self.writes.append(bytes(data))
             return len(data)
 
-    one, three = RecordingSink(), RecordingSink()
-    render_snapshot(state, one, scale=1)
-    written = render_snapshot(state, three, scale=3)
-    pixels = np.frombuffer(b"".join(one.writes)[len(b"P6\n6 6\n255\n"):], dtype=np.uint8)
-    scaled = np.repeat(np.repeat(pixels.reshape(6, 6, 3), 3, axis=0), 3, axis=1)
-    assert b"".join(three.writes) == b"P6\n18 18\n255\n" + scaled.tobytes()
-    assert written == sum(len(w) for w in three.writes)
-    assert len(three.writes) > 1
+    small = RecordingSink()
+    written = render_snapshot(state, small)
+    assert np.array_equal(_patches(b"".join(small.writes), 6), _expected_patches(state))
+    assert written == sum(len(w) for w in small.writes)
+    assert len(small.writes) > 1
 
-    # Side 200 at scale 2 is 480 KB of pixels: several write blocks of whole
-    # patch rows, the last one partial, each from the same reused buffer.
-    pops, xy = rng.integers(0, 4, 20000), rng.integers(0, 200, (20000, 2))
-    big = make_state(200, names, [(names[p], tuple(at), True) for p, at in zip(pops, xy)])
-    pixels = np.zeros((200, 200, 3), dtype=np.uint8)
-    for p, (x, y) in zip(pops, xy):  # in id order, so the last agent on a patch wins
-        pixels[y, x] = PALETTE[p]
-    scaled = np.repeat(np.repeat(pixels, 2, axis=0), 2, axis=1)
-    two = RecordingSink()
-    written = render_snapshot(big, two, scale=2)
-    assert b"".join(two.writes) == b"P6\n400 400\n255\n" + scaled.tobytes()
-    assert written == sum(len(w) for w in two.writes)
-    patch_row = 2 * 400 * 3  # bytes of one patch row of the scaled image
-    block, *middle, tail = (len(w) for w in two.writes[1:])
+    # Side 61 is 714 KB of pixels, 5 patch rows (58.5 KB) per write block:
+    # several full blocks and a partial last one, each from the same reused buffer.
+    pops, xy = rng.integers(0, 4, 3000), rng.integers(0, 61, (3000, 2))
+    big = make_state(61, names, [(names[p], tuple(at), True) for p, at in zip(pops, xy)])
+    sink = RecordingSink()
+    written = render_snapshot(big, sink)
+    assert np.array_equal(_patches(b"".join(sink.writes), 61), _expected_patches(big))
+    assert written == sum(len(w) for w in sink.writes)
+    patch_row = 8 * 61 * 8 * 3  # bytes of one patch row of the image
+    block, *middle, tail = (len(w) for w in sink.writes[1:])
     assert len(middle) > 2 and set(middle) == {block} and 0 < tail < block
     assert block % patch_row == 0 and tail % patch_row == 0

@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from coocsim import Lattice, toroidal_distance, wrap
 from coocsim import lattice
-from coocsim.lattice import MOORE_OFFSETS, disk_counts, disk_offsets, disk_sum, within_distance
+from coocsim.lattice import MOORE_OFFSETS, disk_counts, disk_offsets, disk_sum
 from coocsim.lattice import OFFSET_ARRAY
+
+from reference import wrapped_dist_sq
 
 MOORE = {(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)}
 
@@ -98,16 +100,6 @@ def test_distance_bounded_by_half_diagonal(side):
         assert toroidal_distance(a, b, lat) <= bound + 1e-12
 
 
-def test_within_distance_matches_metric():
-    lat = Lattice(19)
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        a = tuple(rng.integers(0, 19, 2))
-        b = tuple(rng.integers(0, 19, 2))
-        r = float(rng.uniform(0, 15))
-        assert within_distance(a, b, 19, r) == (toroidal_distance(a, b, lat) ** 2 <= r * r)
-
-
 def test_disk_offsets_radius_two_has_thirteen_patches():
     offs = disk_offsets(31, 2.0)
     assert len(offs) == 13
@@ -159,7 +151,7 @@ def test_disk_sum_counts_neighbours():
 def _brute_disk_counts(side, radii, point_group, point_xy, query_group, query_xy):
     return [
         sum(1 for g, p in zip(point_group, point_xy)
-            if g == qg and within_distance(p, q, side, radii[qg]))
+            if g == qg and wrapped_dist_sq(p, q, side) <= radii[qg] * radii[qg])
         for qg, q in zip(query_group, query_xy)
     ]
 
