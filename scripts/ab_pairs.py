@@ -102,9 +102,13 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seeds", default="1-10", help='e.g. "1-10" or "1,4099"')
     ap.add_argument("--seconds", type=float, default=35)
     args = ap.parse_args(argv)
+    seeds = list(dict.fromkeys(parse_seeds(args.seeds)))
+    if len(seeds) < 2:  # the quartiles of one pair do not exist
+        raise SystemExit(f"error: --seeds {args.seeds!r} names {len(seeds)} distinct seed(s); "
+                         "the quartiles need at least two")
 
     runs: dict[int, dict[str, dict[str, float]]] = {}
-    for seed in parse_seeds(args.seeds):
+    for seed in seeds:
         got = {}
         for side in ("parent", "change") if seed % 2 else ("change", "parent"):
             got[side] = bench_metrics(getattr(args, side), args.workload, seed, args.seconds)

@@ -26,19 +26,12 @@ from .lattice import (
     disk_counts,
     wrap,
 )
-from .model import FOLLOW_PATH, ConfigurationFault, Model, initialize
+from .model import ConfigurationFault, Model, initialize
 from .world import WorldState, _owned, agent_uniforms
 
 __all__ = [
-    "ConfigurationFault",
-    "TransitionDistribution",
-    "RunResult",
-    "bias_weights",
-    "potential_at",
-    "transition_distribution",
-    "select_rule",
-    "step",
-    "run",
+    "ConfigurationFault", "TransitionDistribution", "RunResult", "bias_weights", "potential_at",
+    "transition_distribution", "select_rule", "step", "run",
 ]
 
 #: 1 / |2 * offset| per direction, the denominator of the discrete gradient.
@@ -125,20 +118,15 @@ def _members(starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _linked_counts(side, starts, xy, links, probes=None):
-    """For (population, (target, distance)) links: link slot, row and the
-    count of target agents within distance of each agent of the population,
+    """For links compiled by the layout's plan: link slot, row and the count
+    of target agents within distance of each agent of the link's population,
     per probe offset when ``probes`` are given (see :func:`disk_counts`).
     ``xy`` holds one position per row, rows in population order."""
-    groups: dict[tuple[int, float], int] = {}
-    link_group = [groups.setdefault(key, len(groups)) for _, key in links]
-    order = sorted(range(len(links)), key=link_group.__getitem__)  # stable: rows in group order
-    point_group, points = _members(starts, [target for target, _ in groups])
-    slot, probed = _members(starts, [links[i][0] for i in order])
-    counts = disk_counts(
-        side, [distance for _, distance in groups], point_group, np.take(xy, points, axis=0),
-        np.array(sorted(link_group))[slot], np.take(xy, probed, axis=0), probes,
-    )
-    return np.array(order)[slot], probed, counts
+    point_group, points = _members(starts, links.targets)
+    slot, probed = _members(starts, links.sources)
+    counts = disk_counts(side, links.radii, point_group, np.take(xy, points, axis=0),
+                         links.group[slot], np.take(xy, probed, axis=0), probes)
+    return links.order[slot], probed, counts
 
 
 def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np.ndarray:
@@ -193,8 +181,8 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
 
     Stateless with respect to randomness: the same (state, model, rng_root)
     always yields the same successor. The first step of a model builds its
-    ``model.layout``. A state of another side or population order raises
-    ``ValueError``.
+    ``model.layout``, and a tick reuses the plan of the last tick's selection
+    if it holds. A state of another side or population order raises ``ValueError``.
     """
     if rng_root is None:
         rng_root = model.params.seed
@@ -220,19 +208,18 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
         u, xy = np.take(u, agents - first), np.take(pos, agents, 0)
     counts = np.diff(starts)
 
-    selected = [layout.select(p, counts) if counts[p] else None for p in range(n_pops)]
-    follow_pops = [p for p, e in enumerate(selected) if e and e.movement == FOLLOW_PATH]
+    plan = layout.plan(counts)  # the selection's links, compiled once while it holds
     # Every row gets the walk draw; the rows of followers are overwritten.
     move_idx = np.minimum((u * 8.0).astype(np.int64), 7)
 
     # Interaction field at the 8 probes of every following agent: the sum,
     # over its population's field groups, of the tick-t active agents of the
     # group's target within the group's distance. ``h``'s memory is probe-major.
-    if follow_pops:
-        links = [(p, key) for p in follow_pops for key in layout.field_groups[p]]
-        _, probed, h = _linked_counts(side, starts, xy, links, OFFSET_ARRAY)
+    if plan.field is not None:
+        _, probed, h = _linked_counts(side, starts, xy, plan.field, OFFSET_ARRAY)
         # With one group per follower, h's rows are the probed rows, in group order.
-        follow = probed if len(links) == len(follow_pops) else _members(starts, follow_pops)[1]
+        one_group = len(plan.field.sources) == len(plan.follow)
+        follow = probed if one_group else _members(starts, plan.follow)[1]
         if len(probed) > len(follow):  # several groups per follower: add each row's links
             rank = np.empty(n, dtype=np.int64)  # row of each follower in h
             rank[follow] = np.arange(len(follow))
@@ -258,27 +245,15 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
     # of targets but their tick-t activity flags, so simultaneous freezes do
     # not shadow one another.
     new_active = active.copy()
-    freezing = [(p, e) for p, e in enumerate(selected)
-                if e and e.deactivates and e.target is not None]
-    if freezing:
-        links = [(p, (e.target, e.distance)) for p, e in freezing]
-        slot, probed, near = _linked_counts(side, starts, moved, links)
-        self_link = np.array([p == e.target for p, e in freezing], dtype=np.int64)
-        threshold = np.array([e.cardinality for _, e in freezing], dtype=np.int64)
-        # An agent is not its own neighbour.
-        rows = probed[near - self_link[slot] >= threshold[slot]]
+    if plan.freeze is not None:
+        slot, probed, near = _linked_counts(side, starts, moved, plan.freeze)
+        rows = probed[near >= plan.threshold[slot]]
         new_active[first + rows if run_path else agents[rows]] = False
 
     new_pos.setflags(write=False)
     new_active.setflags(write=False)
-    return WorldState(
-        tick=state.tick + 1,
-        side=side,
-        population_names=state.population_names,
-        population_index=pop_index,
-        positions=new_pos,
-        active=new_active,
-    )
+    return WorldState(tick=state.tick + 1, side=side, population_names=state.population_names,
+                      population_index=pop_index, positions=new_pos, active=new_active)
 
 
 @dataclass(frozen=True)
@@ -302,9 +277,12 @@ def run(
     """
     if seed is None:
         seed = model.params.seed
-    wanted = sorted({int(t) for t in report_ticks})
-    if set(report_ticks) != set(wanted):  # int(1.5) would observe tick 1
-        raise ValueError("report ticks must be integers")
+    try:  # int(inf) and int(nan) raise, and int(1.5) would observe tick 1
+        wanted = sorted({int(t) for t in report_ticks})
+        if set(report_ticks) != set(wanted):
+            raise ValueError
+    except (OverflowError, ValueError):
+        raise ValueError("report ticks must be integers") from None
     if wanted and (wanted[0] < 0 or wanted[-1] > model.params.max_ticks):
         raise ValueError("report ticks must lie within [0, max_ticks]")
     model.require_valid()

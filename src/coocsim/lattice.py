@@ -112,10 +112,11 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
     if any(len(r) and (r[0] < 0 or r[-1] >= n) for r in (point_group, query_group)):
         raise ValueError(f"group indices must lie in [0, {n}), one per radius")
-    bad = [r for r in radii if not 0 < r < math.inf]
-    if bad:
+    radii = np.asarray(radii, dtype=float)
+    if n and not 0 < radii.min() <= radii.max() < math.inf:  # NaN fails both
+        bad = radii[~((radii > 0) & (radii < math.inf))]
         raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
-    runs = [0, *(g for g in range(1, n) if radii[g] != radii[g - 1]), n]
+    runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
     point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]
                           for r in (point_group, query_group))  # one batch: all rows

@@ -9,6 +9,7 @@ A model computes its verdict (``diagnostics``) and its compiled rule layout
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -261,6 +262,30 @@ class _Entry(NamedTuple):
     distance: float | None
 
 
+#: (population, (target, distance)) links compiled for ``step``'s counts: per
+#: group (numbered by first appearance) its target and radius; per link, in
+#: group order, its population, group and place among the links as given.
+_Links = namedtuple("_Links", "targets radii sources group order")
+
+
+def _compile_links(links) -> _Links | None:
+    if not links:
+        return None
+    groups: dict[tuple[int, float], int] = {}
+    link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links])
+    order = np.argsort(link_group, kind="stable")
+    keys = np.array(list(groups), dtype=float)  # (target, radius) per group
+    return _Links(keys[:, 0].astype(np.int64), keys[:, 1],
+                  np.array([p for p, _ in links])[order], link_group[order], order)
+
+
+#: What ``step`` reads of one selection: the following populations, their
+#: field links, the freeze links (``None`` when there are none) and, per
+#: freeze link, the count of targets nearby that freezes an agent: the
+#: cardinality, plus one on a self-link, where the agent counts itself.
+_Plan = namedtuple("_Plan", "follow field freeze threshold")
+
+
 class _Layout:
     """Index-resolved rules of a model, built once per model as ``model.layout``.
 
@@ -292,9 +317,13 @@ class _Layout:
             per_pop.sort(key=lambda e: (-e.priority, e.order))
         # Field groups realise the "any linking entry" reading: a neighbour
         # counts once if it is in range of the widest entry for its family.
-        self.field_groups: list[tuple[tuple[int, float], ...]] = [
-            tuple(sorted(g.items())) for g in groups
-        ]
+        self.field_groups = [tuple(sorted(g.items())) for g in groups]
+        # Selection reads only which populations are active and which
+        # follow-path entries' targets meet their cardinality.
+        needs = [(e.target, e.cardinality) for per_pop in self.entries for e in per_pop
+                 if e.target is not None]
+        self._needs = np.array(needs, dtype=np.int64).reshape(-1, 2).T
+        self._last: tuple[bytes, _Plan] | None = None
 
     def check(self, state: WorldState) -> None:
         """Refuse a state whose side or population names are not the model's."""
@@ -309,9 +338,28 @@ class _Layout:
                 return entry
             if active_counts[entry.target] >= entry.cardinality:
                 return entry
-        raise ConfigurationFault(
-            f"no applicable matrix entry for population index {pop}"
-        )
+        raise ConfigurationFault(f"no applicable matrix entry for population index {pop}")
+
+    def plan(self, active_counts: np.ndarray) -> _Plan:
+        """The compiled selection at these active counts per population. The
+        last one is kept as one (key, plan) tuple, and reused while no
+        population's selection changes."""
+        target, cardinality = self._needs
+        key = (active_counts > 0).tobytes() + (active_counts[target] >= cardinality).tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        selected = [(p, self.select(p, active_counts))
+                    for p in np.flatnonzero(active_counts).tolist()]
+        follow = [p for p, e in selected if e.movement == FOLLOW_PATH]
+        freezing = [(p, e) for p, e in selected if e.deactivates and e.target is not None]
+        plan = _Plan(
+            np.array(follow, dtype=np.int64),
+            _compile_links([(p, g) for p in follow for g in self.field_groups[p]]),
+            _compile_links([(p, (e.target, e.distance)) for p, e in freezing]),
+            np.array([e.cardinality + (p == e.target) for p, e in freezing], dtype=np.int64))
+        self._last = key, plan
+        return plan
 
 
 def initialize(model: Model, seed: int | None = None) -> WorldState:

@@ -51,6 +51,8 @@ class WorldState:
 
     def __post_init__(self) -> None:
         index, k = np.asarray(self.population_index), len(self.population_names)
+        if index.dtype.kind not in "biuf":
+            raise ValueError(f"population index must be numeric, got dtype {index.dtype}")
         # Int32 in one pass, a negative index reading as a large unsigned one;
         # any other type before the cast, which would wrap 2**32 to 0.
         if index.size and (index.view(np.uint32).max() >= k if index.dtype == np.int32

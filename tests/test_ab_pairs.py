@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
 spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
 ab_pairs = importlib.util.module_from_spec(spec)
@@ -95,3 +97,14 @@ def test_seed_lists():
     assert ab_pairs.parse_seeds("1-10") == list(range(1, 11))
     assert ab_pairs.parse_seeds("1,4099") == [1, 4099]
     assert ab_pairs.parse_seeds("3-4,9") == [3, 4, 9]
+
+
+def test_fewer_than_two_distinct_seeds_are_refused_before_any_run(monkeypatch, capsys):
+    """One pair has no quartiles: the script stops with one error line
+    before it runs a benchmark."""
+    monkeypatch.setattr(ab_pairs, "bench_metrics", lambda *args: pytest.fail("a run started"))
+    for seeds in ("1", "3,3", "5-5"):
+        with pytest.raises(SystemExit) as stopped:
+            ab_pairs.main(["parent", "change", "--workload", "small_set", "--seeds", seeds])
+        message = str(stopped.value.code)
+        assert message.startswith("error: --seeds") and "\n" not in message

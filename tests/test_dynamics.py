@@ -462,6 +462,15 @@ def test_world_state_refuses_values_the_cast_would_change(field, values):
         dataclasses.replace(state, **{field: np.array(values)})
 
 
+@pytest.mark.parametrize("index", [np.array(["0", "1"]), np.array([0, 1], dtype=object)],
+                         ids=["str", "object"])
+def test_world_state_refuses_a_population_index_that_is_not_numeric(index):
+    """Refused by dtype, before the range check compares strings or objects with ints."""
+    state = make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)])
+    with pytest.raises(ValueError, match="population index must be numeric, got dtype"):
+        dataclasses.replace(state, population_index=index)
+
+
 def test_world_state_accepts_values_the_cast_keeps():
     state = dataclasses.replace(
         make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)]),
@@ -572,7 +581,7 @@ def _assert_steps_match_oracle(model, seed, ticks):
     return state
 
 
-def hub_and_ring_model(**kwargs):
+def hub_and_ring_model(side=13, sizes=2, **kwargs):
     """The gen-matrix shape of a real network: every ring population follows
     the hub and its ring neighbours, so field groups are shared between
     many populations."""
@@ -581,7 +590,7 @@ def hub_and_ring_model(**kwargs):
                    for i, name in enumerate(ring))
     relation = build_relation_model(parse_edge_list(text), "zhub", kind="extended")
     assert len(relation.populations) == 33
-    return build_model(relation.rules, relation.matrix, side=13, sizes=2, **kwargs)
+    return build_model(relation.rules, relation.matrix, side=side, sizes=sizes, **kwargs)
 
 
 def test_step_matches_reference_on_an_extended_hub_and_ring():
@@ -787,7 +796,13 @@ def _spy_linked_counts(monkeypatch):
     linked_counts = dynamics._linked_counts
 
     def spy(side, starts, xy, links, probes=None):
-        calls.append((list(links), probes is not None))
+        # The compiled links hold the links as given in group order.
+        given = [None] * len(links.order)
+        for k, at in enumerate(links.order.tolist()):
+            group = links.group[k]
+            given[at] = (int(links.sources[k]),
+                         (int(links.targets[group]), float(links.radii[group])))
+        calls.append((given, probes is not None))
         return linked_counts(side, starts, xy, links, probes)
 
     monkeypatch.setattr(dynamics, "_linked_counts", spy)
@@ -897,6 +912,71 @@ interaction glue
 actions follow-path deactivate-source
 end
 """)
+
+
+def _spy_plans(monkeypatch):
+    """The plan each ``step`` reads, in tick order, and the populations
+    ``layout.select`` was asked about."""
+    plans, selects = [], []
+    plan, select = model_module._Layout.plan, model_module._Layout.select
+
+    def plan_spy(layout, counts):
+        plans.append(plan(layout, counts))
+        return plans[-1]
+
+    def select_spy(layout, pop, counts):
+        selects.append(pop)
+        return select(layout, pop, counts)
+
+    monkeypatch.setattr(model_module._Layout, "plan", plan_spy)
+    monkeypatch.setattr(model_module._Layout, "select", select_spy)
+    return plans, selects
+
+
+def _compiled(plans):
+    return 1 + sum(a is not b for a, b in zip(plans, plans[1:])) if plans else 0
+
+
+def test_a_hub_and_ring_run_whose_selection_holds_compiles_one_plan(monkeypatch):
+    """No population empties and every target keeps its cardinality, so the
+    first tick's plan serves all ticks: each population is selected once."""
+    plans, selects = _spy_plans(monkeypatch)
+    model = hub_and_ring_model(side=61, sizes=10, seed=5, max_ticks=8)
+    final = run(model).final_state
+    assert np.bincount(final.population_index[final.active], minlength=33).all()
+    assert not final.active.all()  # agents froze, yet no selection changed
+    assert len(plans) == 8 and _compiled(plans) == 1
+    assert sorted(selects) == list(range(33))
+
+
+def test_a_target_population_that_freezes_out_rebuilds_the_plan(monkeypatch):
+    """``b`` freezes next to ``c`` and ``a`` follows ``b`` while any ``b`` is
+    active: once every ``b`` froze, ``a`` walks and nobody follows. Every
+    tick matches the oracle, across the rebuild."""
+    matrix = [InteractionMatrixEntry(name, "walk", 0, 0) for name in "abc"]
+    matrix += [InteractionMatrixEntry("a", "pull", 1, 1, "b", 3.0),
+               InteractionMatrixEntry("b", "glue", 1, 1, "c", 2.0)]
+    model = build_model(INVARIANT_RULES, matrix, side=9, seed=4, sizes={"a": 6, "b": 3, "c": 20})
+    plans, _ = _spy_plans(monkeypatch)
+    last = _assert_steps_match_oracle(model, 4, 6)
+    assert not last.active[last.population_index == 1].any()
+    assert plans[0].follow.tolist() == [0, 1] and plans[-1].follow.tolist() == []
+    assert plans[-1].field is None and plans[-1].freeze is None
+    assert 2 <= _compiled(plans) < len(plans)
+
+
+def test_a_selection_with_no_applicable_entry_faults_on_every_step_and_caches_nothing():
+    bare = build_model(parse_rules(CHASE_RULES), [
+        InteractionMatrixEntry("a", "walk", 0, 0),
+        InteractionMatrixEntry("b", "chase", 1, 1, "a", 2.0),
+    ], side=9, sizes=2)
+    lone = make_state(9, ("a", "b"), [("a", (1, 1), False), ("b", (2, 2), True)])
+    for _ in range(2):
+        with pytest.raises(ConfigurationFault, match="no applicable matrix entry"):
+            step(lone, bare, 1)
+        assert bare.layout._last is None
+    step(initialize(bare, 1), bare, 1)
+    assert bare.layout._last is not None
 
 
 @st.composite
@@ -1091,9 +1171,10 @@ def test_run_reports_requested_ticks():
     assert result.final_state.tick == 10
 
 
-@pytest.mark.parametrize("tick", [1.5, 0.25])
+@pytest.mark.parametrize("tick", [1.5, 0.25, float("inf"), float("-inf"), float("nan")])
 def test_run_refuses_a_report_tick_that_is_not_integral(tick):
-    """``int(1.5)`` would observe tick 1 in place of the tick asked for."""
+    """``int(1.5)`` would observe tick 1 in place of the tick asked for;
+    ``int`` of an infinity or of NaN raises an error of its own."""
     model = make_toy_model(walkers=10, particles=10, side=21, seed=8, max_ticks=5)
     with pytest.raises(ValueError, match="report ticks must be integers"):
         run(model, report_ticks=[0, tick], observers=[lambda s, m: s.tick])
