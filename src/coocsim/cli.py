@@ -37,58 +37,35 @@ from .metrics import crowding_indices, neighborhood_counts, significant_from_cou
 from .model import DEFAULT_SEED, PopulationSpec, build_model
 
 
-class CliError(Exception):
-    """User-facing failure; the message is printed and the exit code is 1."""
-
-
-def _read_text(path: str) -> str:
+def _read(path: str, parse, *args):
+    """``parse(text, *args)`` of the UTF-8 file at ``path``; a file that is not
+    UTF-8 or does not parse is refused naming the file (and the line)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_ticks(raw: str, steps: int) -> list[int]:
     try:
         ticks = sorted({int(tok) for tok in raw.split(",") if tok.strip()})
     except ValueError:
-        raise CliError(f"invalid report ticks {raw!r}") from None
+        raise ValueError(f"invalid report ticks {raw!r}") from None
     bad = [t for t in ticks if t < 0 or t > steps]
     if bad:
-        raise CliError(f"report ticks {bad} outside [0, {steps}]")
+        raise ValueError(f"report ticks {bad} outside [0, {steps}]")
     return ticks
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if not 0 < args.distance < float("inf"):
-        raise CliError(f"--distance must be a finite positive number, got {args.distance}")
-    if args.side < 3:
-        raise CliError(f"--side must be at least 3, got {args.side}")
-    try:
-        rules = parse_rules(_read_text(args.rules))
-    except ParseError as exc:
-        raise CliError(f"{args.rules}: {exc}") from exc
-    try:
-        matrix = parse_matrix(_read_text(args.matrix))
-    except ParseError as exc:
-        raise CliError(f"{args.matrix}: {exc}") from exc
-
+        raise ValueError(f"--distance must be a finite positive number, got {args.distance}")
     model = build_model(
-        rules, matrix, side=args.side, sizes=args.size,
-        beta=args.beta, seed=args.seed, max_ticks=args.steps,
+        _read(args.rules, parse_rules), _read(args.matrix, parse_matrix), side=args.side,
+        sizes=args.size, beta=args.beta, seed=args.seed, max_ticks=args.steps,
     )
     if args.sizes:  # the file's sizes over --size
-        try:
-            sizes = parse_sizes(_read_text(args.sizes), model.population_names)
-        except ParseError as exc:
-            raise CliError(f"{args.sizes}: {exc}") from exc
+        sizes = _read(args.sizes, parse_sizes, model.population_names)
         model = replace(model, populations=tuple(
             PopulationSpec(p.name, sizes.get(p.name, p.size)) for p in model.populations))
     for diag in sorted(model.diagnostics, key=lambda d: d.is_error):  # warnings first
@@ -96,14 +73,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if any(d.is_error for d in model.diagnostics):
         return 1
     if args.target not in model.population_names:
-        raise CliError(f"target population {args.target!r} not present in the matrix")
+        raise ValueError(f"target population {args.target!r} not present in the matrix")
 
-    ticks = _parse_ticks(args.report_ticks, args.steps)
+    ticks = ([args.steps] if args.report_ticks is None  # the final tick by default
+             else _parse_ticks(args.report_ticks, args.steps))  # "" writes no report
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create {args.out}: {exc.strerror or exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
 
     def write_outputs(state, _model):
         report = neighborhood_counts(state, args.target, args.distance)
@@ -114,12 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 render_snapshot(state, sink)
         return state.tick
 
-    try:
-        run(model, report_ticks=ticks, observers=[write_outputs])
-    except ConfigurationFault as exc:
-        raise CliError(str(exc)) from exc
-    except MemoryError as exc:
-        raise CliError(f"out of memory during the run (--side {args.side}): {exc}") from exc
+    run(model, report_ticks=ticks, observers=[write_outputs])
 
     crowding = crowding_indices(model.lattice, sum(p.size for p in model.populations))
     meta = {
@@ -148,33 +118,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_matrix(args: argparse.Namespace) -> int:
-    try:
-        edges = parse_edge_list(_read_text(args.edges))
-    except ParseError as exc:
-        raise CliError(f"{args.edges}: {exc}") from exc
-    try:
-        relation = build_relation_model(
-            edges, args.target, kind=args.kind,
-            distance=args.distance, symmetric=args.symmetric,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write_text(args.rules_out, format_rules(relation.rules))
-    _write_text(args.matrix_out, format_matrix(relation.matrix))
+    relation = build_relation_model(
+        _read(args.edges, parse_edge_list), args.target, kind=args.kind,
+        distance=args.distance, symmetric=args.symmetric,
+    )
+    Path(args.rules_out).write_text(format_rules(relation.rules), encoding="utf-8")
+    Path(args.matrix_out).write_text(format_matrix(relation.matrix), encoding="utf-8")
     print(f"populations: {len(relation.populations)}")
     print(f"relations: {relation.relation_count}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        counts, average = read_report_csv(_read_text(args.report))
-        for name in significant_from_counts(counts, average, args.factor):
-            print(f"{name} {counts[name]}")
-    except ParseError as exc:
-        raise CliError(f"{args.report}: {exc}") from exc
-    except ValueError as exc:  # a --factor that is not finite and positive
-        raise CliError(str(exc)) from exc
+    counts, average = _read(args.report, read_report_csv)
+    for name in significant_from_counts(counts, average, args.factor):
+        print(f"{name} {counts[name]}")
     return 0
 
 
@@ -221,15 +179,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "report_ticks", "") is None:
-        args.report_ticks = str(args.steps)
+    """Run one subcommand. A ``ValueError`` (every ``ParseError`` too),
+    ``ConfigurationFault``, ``OSError`` or ``MemoryError`` is one ``error:``
+    line on stderr and exit code 1; any other exception keeps its traceback."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    except MemoryError as exc:
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+    except (ValueError, ConfigurationFault) as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .model import (
     RANDOM_WALK,
     InteractionMatrixEntry,
     InteractionRule,
+    population_name_error,
 )
 from .world import WorldState
 
@@ -225,7 +226,8 @@ def build_relation_model(
     keeps every edge among the retained names. Every population also gets a
     plain walk entry. Each edge yields one directed entry with the
     lexicographically smaller name as source, or both directions when
-    ``symmetric`` is set.
+    ``symmetric`` is set. A kept name that cannot name a population (see
+    :func:`~coocsim.model.population_name_error`) is refused with ``ValueError``.
     """
     if kind not in ("restricted", "extended"):
         raise ValueError(f"kind must be 'restricted' or 'extended', got {kind!r}")
@@ -244,6 +246,9 @@ def build_relation_model(
         kept_edges = [e for e in edges.edges if e[0] in kept and e[1] in kept]
 
     populations = (target, *sorted(kept - {target}))
+    for name in populations:
+        if problem := population_name_error(name):
+            raise ValueError(problem)
     matrix = [
         InteractionMatrixEntry(name, WALK_RULE.name, 0, 0) for name in populations
     ]

@@ -33,6 +33,18 @@ DEFAULT_SEED = 1729
 _MAX_SEED = 2**64
 
 
+def population_name_error(name: str) -> str | None:
+    """Why ``name`` cannot name a population, or ``None``: a name is one token that starts
+    with neither comment marker (``;``, ``#``) and is not the report's ``_average`` row."""
+    if not name or any(c.isspace() for c in name):
+        return f"population name {name!r} must be a non-empty token without whitespace"
+    if name[0] in ";#":
+        return f"population name {name!r} must not start with ';' or '#', which begin comments"
+    if name == "_average":
+        return "population name '_average' is reserved for the report's average row"
+    return None
+
+
 class ConfigurationFault(RuntimeError):
     """Raised for a model that :func:`validate` rejects, or when no matrix
     entry applies to a population at run time."""
@@ -170,8 +182,7 @@ def validate(model: Model) -> list[Diagnostic]:
     """Check every invariant and cross-reference of a model.
 
     Returns an empty error list iff the model is runnable; warnings flag
-    suspicious but legal configurations (inert populations, crowding,
-    cardinalities above 1).
+    suspicious but legal configurations (crowding, cardinalities above 1).
     """
     out: list[Diagnostic] = []
     err = lambda msg: out.append(Diagnostic("error", msg))
@@ -179,8 +190,8 @@ def validate(model: Model) -> list[Diagnostic]:
 
     pop_names = set()
     for pop in model.populations:
-        if not pop.name or any(c.isspace() for c in pop.name):
-            err(f"population name {pop.name!r} must be a non-empty token without whitespace")
+        if problem := population_name_error(pop.name):
+            err(problem)
         if pop.name in pop_names:
             err(f"duplicate population name {pop.name!r}")
         pop_names.add(pop.name)
@@ -232,7 +243,7 @@ def validate(model: Model) -> list[Diagnostic]:
 
     for pop in model.populations:
         if pop.name not in sourced:
-            warn(f"population {pop.name!r} has no matrix entry and will be inert")
+            err(f"population {pop.name!r} has no matrix entry, so no entry can move it")
 
     p = model.params
     if not (np.isfinite(p.beta) and p.beta >= 0):
@@ -244,7 +255,9 @@ def validate(model: Model) -> list[Diagnostic]:
 
     total = sum(pop.size for pop in model.populations)
     critical = model.lattice.patch_count // 4
-    if total > critical:
+    if total >= 2**63:  # agent ids are int64
+        err(f"{total} agents in all are too many to place; the total must be below 2**63")
+    elif total > critical:
         warn(
             f"{total} agents exceed the crowding threshold of {critical} "
             f"for {model.lattice.patch_count} patches; movement may freeze"

@@ -1,5 +1,7 @@
 import argparse
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -197,6 +199,74 @@ def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert "74.5 GiB" in lines[0]
 
 
+def test_run_explicit_empty_report_ticks_writes_no_report(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", *_run_args(tmp_path, out, **{"--report-ticks": ""})) == 0
+    assert not list(out.glob("report_t*.csv"))
+    assert json.loads((out / "run_meta.json").read_text())["report_ticks"] == []
+
+
+@pytest.mark.parametrize("matrix, sizes, word", [
+    ("particles walk 0 0\nparticles cooc 1 1 walkers 2\n", None, "'walkers' has no matrix entry"),
+    ("walkers walk 0 0\n#x walk 0 0\n", "#x 7\n", "'#x'"),
+    ("walkers walk 0 0\n_average walk 0 0\n", None, "'_average'"),
+    ("walkers walk 0 0\n", "walkers 1000000000000000000000000000000\n", "2**63"),
+], ids=["population_without_entry", "comment_marker_name", "average_row_name", "too_many_agents"])
+def test_run_rejects_a_model_that_cannot_run_before_writing(tmp_path, capsys, matrix, sizes, word):
+    """A population no entry moves fails on the first tick, one named like
+    a comment would miss its sizes line, one named ``_average`` makes a
+    report that ``analyze`` refuses, and a total past int64 cannot be
+    placed; each is refused before the output directory is made."""
+    (tmp_path / "matrix.txt").write_text(matrix)
+    extra = {"--matrix": tmp_path / "matrix.txt"}
+    if sizes:
+        (tmp_path / "sizes.txt").write_text(sizes)
+        extra["--sizes"] = tmp_path / "sizes.txt"
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **extra))
+    _assert_rejected_before_output(rc, out, capsys.readouterr().err, word)
+
+
+@pytest.mark.parametrize("which", ["--rules", "--matrix", "--sizes", "edges", "report"])
+def test_an_input_that_is_not_utf8_is_one_error_line_naming_it(tmp_path, capsys, which):
+    bad, out = tmp_path / "bad.txt", tmp_path / "out"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    if which == "edges":
+        rc = run_cli("gen-matrix", bad, "--target", "t",
+                     "--rules-out", tmp_path / "r.txt", "--matrix-out", out)
+        assert not (tmp_path / "r.txt").exists()
+    elif which == "report":
+        rc = run_cli("analyze", bad)
+    else:
+        rc = run_cli("run", *_run_args(tmp_path, out, **{which: bad}))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_rejected_before_output(rc, out, captured.err, str(bad))
+
+
+def test_run_report_write_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A report that cannot be written (a full disk, say) is one error
+    line, not a traceback."""
+    def disk_full(report, sink):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_report_csv", disk_full)
+    rc = run_cli("run", *_run_args(tmp_path, tmp_path / "out"))
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+
+def test_a_bug_inside_a_subcommand_keeps_its_traceback(tmp_path, monkeypatch):
+    """Only refusals become error lines; any other exception propagates."""
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "neighborhood_counts", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_cli("run", *_run_args(tmp_path, tmp_path / "out"))
+
+
 def _run_options():
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -307,6 +377,18 @@ def test_gen_matrix_unknown_target(tmp_path, capsys):
                  "--rules-out", tmp_path / "r.txt", "--matrix-out", tmp_path / "m.txt")
     assert rc == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_gen_matrix_refuses_a_name_read_back_as_a_comment_before_writing(tmp_path, capsys):
+    """``;x`` would be written as a matrix comment and silently drop out."""
+    edges = tmp_path / "edges.txt"
+    edges.write_text("tor ;x\ntor abc\n")
+    rules_out, matrix_out = tmp_path / "r.txt", tmp_path / "m.txt"
+    rc = run_cli("gen-matrix", edges, "--target", "tor",
+                 "--rules-out", rules_out, "--matrix-out", matrix_out)
+    captured = capsys.readouterr()
+    assert not rules_out.exists() and captured.out == ""
+    _assert_rejected_before_output(rc, matrix_out, captured.err, "';x'")
 
 
 def test_gen_matrix_unwritable_output_is_one_error_line(tmp_path, capsys):

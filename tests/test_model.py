@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coocsim import build_model, initialize, validate
-from coocsim.io import build_relation_model, parse_edge_list, parse_matrix, parse_rules
+from coocsim.io import EdgeList, build_relation_model, parse_edge_list, parse_matrix, parse_rules
 from coocsim.model import (
     InteractionMatrixEntry,
     InteractionRule,
@@ -50,7 +50,9 @@ def test_crowding_warning_above_critical_count():
     assert any("240" in m and "1300" in m for m in warns)
 
 
-def test_inert_population_warns(rules_text):
+def test_population_without_entry_is_an_error(rules_text):
+    """No entry can move a population that no entry is sourced at, and
+    ``step`` would refuse it on the first tick, so ``validate`` refuses it."""
     model = Model(
         lattice=Lattice(9),
         populations=(PopulationSpec("a", 5), PopulationSpec("b", 5)),
@@ -58,8 +60,28 @@ def test_inert_population_warns(rules_text):
         matrix=(InteractionMatrixEntry("a", "walk", 0, 0),),
         params=SimParams(),
     )
-    warns = [d.message for d in warnings(validate(model))]
-    assert any("inert" in m and "'b'" in m for m in warns)
+    msgs = [d.message for d in errors(validate(model))]
+    assert msgs == ["population 'b' has no matrix entry, so no entry can move it"]
+
+
+@pytest.mark.parametrize("name", ["", "a b", ";x", "#x", "_average"])
+def test_one_rule_for_population_names(rules_text, name):
+    """A name the file formats would read back as a comment or as the
+    report's average row is refused by ``validate`` and by the generator."""
+    matrix = [InteractionMatrixEntry(name, "walk", 0, 0)]
+    model = build_model(parse_rules(rules_text), matrix, side=9, sizes=5)
+    assert [repr(name) in m for m in map(str, errors(validate(model)))] == [True]
+    with pytest.raises(ValueError, match="population name"):
+        build_relation_model(EdgeList((("t", name),)), "t")
+
+
+def test_total_agent_count_must_fit_in_int64(rules_text):
+    matrix = [InteractionMatrixEntry("a", "walk", 0, 0), InteractionMatrixEntry("b", "walk", 0, 0)]
+    model = build_model(parse_rules(rules_text), matrix, side=9, sizes={"a": 2**62, "b": 2**62})
+    assert [d.message for d in validate(model)] == [
+        f"{2**63} agents in all are too many to place; the total must be below 2**63"]
+    model = build_model(parse_rules(rules_text), matrix, side=9, sizes={"a": 2**62, "b": 2**62 - 1})
+    assert errors(validate(model)) == []
 
 
 def test_duplicate_names_and_bad_sizes_are_errors(rules_text):
