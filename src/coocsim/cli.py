@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -44,6 +44,16 @@ def _read(path: str, parse, *args):
         return parse(Path(path).read_text(encoding="utf-8"), *args)
     except (ParseError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _write(path: Path, write) -> None:
+    """``write(sink)`` into a new binary file at ``path``; every ``OSError`` names a file."""
+    try:
+        with open(path, "wb") as sink:
+            write(sink)
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        raise
 
 
 def _parse_ticks(raw: str, steps: int) -> list[int]:
@@ -82,16 +92,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     def write_outputs(state, _model):
         report = neighborhood_counts(state, args.target, args.distance)
-        with open(out / f"report_t{state.tick}.csv", "wb") as sink:
-            write_report_csv(report, sink)
+        _write(out / f"report_t{state.tick}.csv", lambda sink: write_report_csv(report, sink))
         if args.snapshots:
-            with open(out / f"snapshot_t{state.tick}.ppm", "wb") as sink:
-                render_snapshot(state, sink)
+            _write(out / f"snapshot_t{state.tick}.ppm", lambda sink: render_snapshot(state, sink))
         return state.tick
 
     run(model, report_ticks=ticks, observers=[write_outputs])
 
-    crowding = crowding_indices(model.lattice, sum(p.size for p in model.populations))
     meta = {
         "version": __version__,
         "rules_path": args.rules,
@@ -105,15 +112,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "target": args.target,
         "distance": args.distance,
         "snapshots": bool(args.snapshots),
-        "crowding": {
-            "patch_count": crowding.patch_count,
-            "critical_count": crowding.critical_count,
-            "critical_density": crowding.critical_density,
-        },
+        "crowding": asdict(crowding_indices(model.lattice, sum(p.size for p in model.populations))),
     }
-    (out / "run_meta.json").write_bytes(
-        (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    )
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    _write(out / "run_meta.json", lambda sink: sink.write(text.encode("utf-8")))
     return 0
 
 
@@ -186,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except OSError as exc:
-        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        message = f"{exc.filename}: {exc.strerror or exc}" if exc.filename else str(exc)
     except MemoryError as exc:
         message = f"out of memory: {exc}" if str(exc) else "out of memory"
     except (ValueError, ConfigurationFault) as exc:

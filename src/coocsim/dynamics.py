@@ -26,7 +26,7 @@ from .lattice import (
     disk_counts,
     wrap,
 )
-from .model import ConfigurationFault, Model, initialize
+from .model import ConfigurationFault, Model, initialize, seed_error
 from .world import WorldState, _owned, agent_uniforms
 
 __all__ = [
@@ -181,11 +181,13 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
 
     Stateless with respect to randomness: the same (state, model, rng_root)
     always yields the same successor. The first step of a model builds its
-    ``model.layout``, and a tick reuses the plan of the last tick's selection
-    if it holds. A state of another side or population order raises ``ValueError``.
+    ``model.layout``, and a tick reuses the plan of the last tick's selection if it
+    holds. A state of another side or population order, or a refused seed, raises ``ValueError``.
     """
     if rng_root is None:
         rng_root = model.params.seed
+    if problem := seed_error(rng_root):
+        raise ValueError(problem)
     layout = model.layout
     layout.check(state)
     side = model.lattice.side
@@ -272,8 +274,8 @@ def run(
 
     Observers are called with (state, model) at each requested tick; their
     return values are collected per tick in observer order. The whole run is
-    reproducible from (model, seed). A model that :func:`validate` rejects
-    raises :class:`ConfigurationFault` before the agents are placed.
+    reproducible from (model, seed). A model that :func:`validate` rejects raises
+    :class:`ConfigurationFault`, and a seed it would reject ``ValueError``, before any draw.
     """
     if seed is None:
         seed = model.params.seed

@@ -78,34 +78,28 @@ def _content_lines(text: str, comment: str) -> Iterable[tuple[int, list[str]]]:
         yield line_no, stripped.split()
 
 
+#: The three lines of a rule block, each as its shape: its first token, its
+#: token count and the fields that must name a known action.
+_RULE_BLOCK = ("interaction <name>", "actions <movement> <deactivation>", "end")
+_ACTIONS = {"<movement>": MOVEMENT_ACTIONS, "<deactivation>": DEACTIVATION_ACTIONS}
+
+
 def parse_rules(text: str) -> list[InteractionRule]:
+    lines = list(_content_lines(text, ";"))
     rules: list[InteractionRule] = []
-    expect = "interaction"
-    name = movement = deactivation = None
-    last_line = 0
-    for line_no, tokens in _content_lines(text, ";"):
-        last_line = line_no
-        if expect == "interaction":
-            if tokens[0] != "interaction" or len(tokens) != 2:
-                raise ParseError(line_no, f"expected 'interaction <name>', got {' '.join(tokens)!r}")
-            name = tokens[1]
-            expect = "actions"
-        elif expect == "actions":
-            if tokens[0] != "actions" or len(tokens) != 3:
-                raise ParseError(line_no, f"expected 'actions <movement> <deactivation>', got {' '.join(tokens)!r}")
-            movement, deactivation = tokens[1], tokens[2]
-            if movement not in MOVEMENT_ACTIONS:
-                raise ParseError(line_no, f"unknown movement action {movement!r}")
-            if deactivation not in DEACTIVATION_ACTIONS:
-                raise ParseError(line_no, f"unknown deactivation action {deactivation!r}")
-            expect = "end"
-        else:
-            if tokens != ["end"]:
-                raise ParseError(line_no, f"expected 'end', got {' '.join(tokens)!r}")
-            rules.append(InteractionRule(name, movement, deactivation))
-            expect = "interaction"
-    if expect != "interaction":
-        raise ParseError(last_line, "unterminated interaction block")
+    for at in range(0, len(lines), len(_RULE_BLOCK)):
+        block = lines[at:at + len(_RULE_BLOCK)]
+        for (line_no, tokens), shape in zip(block, _RULE_BLOCK):
+            fields = shape.split()
+            if tokens[0] != fields[0] or len(tokens) != len(fields):
+                raise ParseError(line_no, f"expected {shape!r}, got {' '.join(tokens)!r}")
+            for token, field in zip(tokens, fields):
+                if field in _ACTIONS and token not in _ACTIONS[field]:
+                    raise ParseError(line_no, f"unknown {field[1:-1]} action {token!r}")
+        if len(block) < len(_RULE_BLOCK):
+            raise ParseError(block[-1][0], "unterminated interaction block")
+        (_, (_, name)), (_, (_, movement, deactivation)), _ = block
+        rules.append(InteractionRule(name, movement, deactivation))
     return rules
 
 

@@ -16,6 +16,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .lattice import Lattice
+from .metrics import crowding_indices
 from .world import WorldState, placement_generator
 
 RANDOM_WALK = "random-walk"
@@ -30,8 +31,6 @@ DEACTIVATION_ACTIONS = frozenset({DEACTIVATE_NONE, DEACTIVATE_SOURCE})
 #: with no explicit seed are still reproducible.
 DEFAULT_SEED = 1729
 
-_MAX_SEED = 2**64
-
 
 def population_name_error(name: str) -> str | None:
     """Why ``name`` cannot name a population, or ``None``: a name is one token that starts
@@ -43,6 +42,11 @@ def population_name_error(name: str) -> str | None:
     if name == "_average":
         return "population name '_average' is reserved for the report's average row"
     return None
+
+
+def seed_error(seed: int) -> str | None:
+    """Why ``seed`` cannot seed a run, or ``None``: a seed fits in 64 unsigned bits."""
+    return None if 0 <= seed < 2**64 else f"seed must fit in 64 unsigned bits, got {seed}"
 
 
 class ConfigurationFault(RuntimeError):
@@ -157,13 +161,9 @@ def build_model(
     agent count or a name -> count mapping; mappings may omit names, which
     then fall back to 100.
     """
-    names: list[str] = []
-    seen: set[str] = set()
-    for entry in matrix:
-        for name in (entry.source_family, entry.target_family):
-            if name is not None and name not in seen:
-                seen.add(name)
-                names.append(name)
+    names = list(dict.fromkeys(name for entry in matrix
+                               for name in (entry.source_family, entry.target_family)
+                               if name is not None))
     if isinstance(sizes, int):
         size_of = {name: sizes for name in names}
     else:
@@ -209,13 +209,12 @@ def validate(model: Model) -> list[Diagnostic]:
             err(f"rule {rule.name!r}: unknown deactivation action {rule.deactivation_action!r}")
 
     rules = model.rules_by_name()
-    sourced: set[str] = set()
+    sizes = model.population_sizes()
+    applies: dict[str, bool] = {}  # per source: has an entry that applies with every agent active
     for i, entry in enumerate(model.matrix):
         where = f"matrix entry {i} ({entry.source_family} {entry.interaction_name})"
         if entry.source_family not in pop_names:
             err(f"{where}: unknown source population {entry.source_family!r}")
-        else:
-            sourced.add(entry.source_family)
         rule = rules.get(entry.interaction_name)
         if rule is None:
             err(f"{where}: unknown rule {entry.interaction_name!r}")
@@ -233,6 +232,8 @@ def validate(model: Model) -> list[Diagnostic]:
             err(f"{where}: unknown target population {entry.target_family!r}")
         if has_distance and not 0 < entry.distance < float("inf"):
             err(f"{where}: distance must be a finite positive number, got {entry.distance}")
+        applies[entry.source_family] = applies.get(entry.source_family, False) or (
+            not has_target or entry.cardinality <= sizes.get(entry.target_family, 0))
         if rule is not None:
             if has_target and rule.movement_action != FOLLOW_PATH:
                 err(f"{where}: targeted entries must use a {FOLLOW_PATH} rule")
@@ -241,37 +242,37 @@ def validate(model: Model) -> list[Diagnostic]:
             if not has_target and rule.deactivation_action == DEACTIVATE_SOURCE:
                 warn(f"{where}: {DEACTIVATE_SOURCE} without a target never triggers")
 
+    # Active counts only fall, so an entry that does not apply at tick 0 never does.
     for pop in model.populations:
-        if pop.name not in sourced:
-            err(f"population {pop.name!r} has no matrix entry, so no entry can move it")
+        if not applies.get(pop.name):
+            how = "" if pop.name not in applies else " that applies with every agent active"
+            err(f"population {pop.name!r} has no matrix entry{how}, so no entry can move it")
 
     p = model.params
     if not (np.isfinite(p.beta) and p.beta >= 0):
         err(f"beta must be a finite nonnegative number, got {p.beta}")
-    if not 0 <= p.seed < _MAX_SEED:
-        err(f"seed must fit in 64 unsigned bits, got {p.seed}")
+    if problem := seed_error(p.seed):
+        err(problem)
     if p.max_ticks < 0:
         err(f"max_ticks must be nonnegative, got {p.max_ticks}")
 
     total = sum(pop.size for pop in model.populations)
-    critical = model.lattice.patch_count // 4
+    crowding = crowding_indices(model.lattice, max(total, 0))  # negative sizes are errors above
     if total >= 2**63:  # agent ids are int64
         err(f"{total} agents in all are too many to place; the total must be below 2**63")
-    elif total > critical:
+    elif total > crowding.critical_count:
         warn(
-            f"{total} agents exceed the crowding threshold of {critical} "
-            f"for {model.lattice.patch_count} patches; movement may freeze"
+            f"{total} agents exceed the crowding threshold of {crowding.critical_count} "
+            f"for {crowding.patch_count} patches; movement may freeze"
         )
     return out
 
 
 class _Entry(NamedTuple):
     order: int
-    priority: int
     cardinality: int
-    movement: str
     deactivates: bool
-    target: int | None
+    target: int | None  # set iff the entry follows the path, in a valid model
     distance: float | None
 
 
@@ -316,18 +317,15 @@ class _Layout:
 
         self.entries: list[list[_Entry]] = [[] for _ in range(self.n_pops)]
         groups: list[dict[int, float]] = [{} for _ in range(self.n_pops)]
-        for order, raw in enumerate(model.matrix):
-            rule = rules[raw.interaction_name]
+        # Selection order: highest priority first; the stable sort keeps file order in ties.
+        for order, raw in sorted(enumerate(model.matrix), key=lambda e: -e[1].priority):
             source = pop_of[raw.source_family]
             target = None if raw.target_family is None else pop_of[raw.target_family]
-            self.entries[source].append(_Entry(
-                order, raw.priority, raw.cardinality, rule.movement_action,
-                rule.deactivation_action == DEACTIVATE_SOURCE, target, raw.distance))
+            deactivates = rules[raw.interaction_name].deactivation_action == DEACTIVATE_SOURCE
+            self.entries[source].append(_Entry(order, raw.cardinality, deactivates, target,
+                                               raw.distance))
             if target is not None:  # a targeted entry follows the path
                 groups[source][target] = max(raw.distance, groups[source].get(target, 0.0))
-        # Selection order: highest priority first, file order breaks ties.
-        for per_pop in self.entries:
-            per_pop.sort(key=lambda e: (-e.priority, e.order))
         # Field groups realise the "any linking entry" reading: a neighbour
         # counts once if it is in range of the widest entry for its family.
         self.field_groups = [tuple(sorted(g.items())) for g in groups]
@@ -347,11 +345,9 @@ class _Layout:
 
     def select(self, pop: int, active_counts: np.ndarray) -> _Entry:
         for entry in self.entries[pop]:
-            if entry.movement != FOLLOW_PATH:
+            if entry.target is None or active_counts[entry.target] >= entry.cardinality:
                 return entry
-            if active_counts[entry.target] >= entry.cardinality:
-                return entry
-        raise ConfigurationFault(f"no applicable matrix entry for population index {pop}")
+        raise ConfigurationFault(f"no applicable matrix entry for population {self.world[1][pop]!r}")
 
     def plan(self, active_counts: np.ndarray) -> _Plan:
         """The compiled selection at these active counts per population. The
@@ -364,7 +360,7 @@ class _Layout:
             return last[1]
         selected = [(p, self.select(p, active_counts))
                     for p in np.flatnonzero(active_counts).tolist()]
-        follow = [p for p, e in selected if e.movement == FOLLOW_PATH]
+        follow = [p for p, e in selected if e.target is not None]
         freezing = [(p, e) for p, e in selected if e.deactivates and e.target is not None]
         plan = _Plan(
             np.array(follow, dtype=np.int64),
@@ -384,6 +380,8 @@ def initialize(model: Model, seed: int | None = None) -> WorldState:
     """
     if seed is None:
         seed = model.params.seed
+    if problem := seed_error(seed):
+        raise ValueError(problem)
     sizes = [pop.size for pop in model.populations]
     n = sum(sizes)
     pop_index = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)

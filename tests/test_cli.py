@@ -1,5 +1,6 @@
 import argparse
 import errno
+import io as stdio
 import json
 import os
 from pathlib import Path
@@ -246,15 +247,52 @@ def test_an_input_that_is_not_utf8_is_one_error_line_naming_it(tmp_path, capsys,
 
 def test_run_report_write_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
     """A report that cannot be written (a full disk, say) is one error
-    line, not a traceback."""
+    line naming the report, not a traceback, although the error that
+    ``write`` raises carries no file name."""
     def disk_full(report, sink):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert error.filename is None
+        raise error
 
     monkeypatch.setattr(cli, "write_report_csv", disk_full)
-    rc = run_cli("run", *_run_args(tmp_path, tmp_path / "out"))
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out))
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert lines == [f"error: {out / 'report_t0.csv'}: {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.parametrize("name", ["snapshot_t0.ppm", "run_meta.json"])
+def test_run_snapshot_and_meta_write_failures_name_the_file(tmp_path, capsys, monkeypatch, name):
+    class Full(stdio.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def opener(path, *args, **kwargs):
+        return Full() if Path(path).name == name else open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out), "--snapshots")
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / name}: {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.parametrize("steps", [0, 5])
+def test_run_rejects_a_population_no_entry_applies_to_before_writing(tmp_path, capsys, steps):
+    """``a`` follows ``b`` only from 6 active ``b`` agents, and ``b`` has 5:
+    the first tick's selection finds no entry for ``a``, so the run is
+    refused before the output directory is made, with no tick to run too."""
+    (tmp_path / "matrix.txt").write_text("a cooc 1 6 b 2\nb walk 0 0\n")
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{
+        "--matrix": tmp_path / "matrix.txt", "--size": 5, "--target": "b",
+        "--steps": steps, "--report-ticks": "0"}))
+    warning, *rest = capsys.readouterr().err.splitlines()
+    assert warning == ("warning: matrix entry 0 (a cooc): cardinality 6 has no special "
+                       "meaning beyond a count threshold")
+    _assert_rejected_before_output(rc, out, "\n".join(rest), "'a' has no matrix entry that applies")
 
 
 def test_a_bug_inside_a_subcommand_keeps_its_traceback(tmp_path, monkeypatch):

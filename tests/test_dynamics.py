@@ -324,6 +324,16 @@ def test_no_applicable_entry_faults():
         select_rule(1, lone, bare)  # b's only entry needs an active a
 
 
+def test_the_run_time_refusal_names_the_population():
+    bare = build_model(parse_rules(CHASE_RULES), [
+        InteractionMatrixEntry("a", "walk", 0, 0),
+        InteractionMatrixEntry("b", "chase", 1, 1, "a", 2.0),
+    ], side=9, sizes=2)
+    lone = make_state(9, ("a", "b"), [("a", (1, 1), False), ("b", (2, 2), True)])
+    with pytest.raises(ConfigurationFault, match="no applicable matrix entry for population 'b'$"):
+        step(lone, bare, 1)
+
+
 def test_unresolved_references_fault_before_stepping():
     rules = parse_rules(CHASE_RULES)
     dangling = build_model(rules, [InteractionMatrixEntry("a", "nosuch", 0, 0)], side=9, sizes=2)
@@ -386,6 +396,23 @@ def test_run_names_validates_first_error_for_a_model_it_cannot_place(size, seed,
         run(model)
     with pytest.raises(ValueError):
         run(chase_model(), seed=-1)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+@pytest.mark.parametrize("call", ["run", "initialize", "step"])
+def test_a_seed_argument_obeys_validates_seed_rule(monkeypatch, call, seed):
+    """A seed ``validate`` refuses in ``SimParams`` is refused as an argument
+    too, before any draw, where it ran (2**64) or failed inside numpy (-1)."""
+    model = chase_model()
+    state = initialize(model, 1)
+    draws = []
+    monkeypatch.setattr(dynamics, "agent_uniforms", lambda *args: draws.append(args))
+    monkeypatch.setattr(model_module, "placement_generator", lambda *args: draws.append(args))
+    calls = {"run": lambda: run(model, seed=seed), "initialize": lambda: initialize(model, seed),
+             "step": lambda: step(state, model, seed)}
+    with pytest.raises(ValueError, match=f"seed must fit in 64 unsigned bits, got {seed}$"):
+        calls[call]()
+    assert draws == []
 
 
 def test_a_model_is_validated_and_compiled_once_across_entry_points(validate_calls, monkeypatch):

@@ -56,6 +56,22 @@ def test_parse_rules_unterminated_block():
         parse_rules("interaction walk\nactions random-walk deactivate-none\n")
 
 
+def test_parse_rules_unknown_action_comes_before_a_malformed_end():
+    """A block's lines are checked in order, so the actions line's unknown
+    movement is named before the malformed ``end`` line after it."""
+    text = "interaction fly\nactions fly deactivate-none\nend now\n"
+    with pytest.raises(ParseError, match="unknown movement action 'fly'") as exc:
+        parse_rules(text)
+    assert exc.value.line_no == 2
+
+
+def test_parse_rules_second_block_cut_after_its_interaction_line():
+    text = "interaction walk\nactions random-walk deactivate-none\nend\n\ninteraction cut\n"
+    with pytest.raises(ParseError, match="unterminated interaction block") as exc:
+        parse_rules(text)
+    assert exc.value.line_no == 5
+
+
 def test_parse_rules_misplaced_lines():
     with pytest.raises(ParseError) as exc:
         parse_rules("actions random-walk deactivate-none\n")

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from coocsim import build_model, initialize, validate
+from coocsim import build_model, initialize, step, validate
 from coocsim.io import EdgeList, build_relation_model, parse_edge_list, parse_matrix, parse_rules
 from coocsim.model import (
     InteractionMatrixEntry,
@@ -62,6 +64,24 @@ def test_population_without_entry_is_an_error(rules_text):
     )
     msgs = [d.message for d in errors(validate(model))]
     assert msgs == ["population 'b' has no matrix entry, so no entry can move it"]
+
+
+def test_population_no_entry_applies_to_with_every_agent_active_is_an_error(rules_text):
+    """``a``'s only entry follows ``b`` from 6 active ``b`` agents, and ``b``
+    has 5: no entry applies on the first tick, and active counts only fall.
+    At a cardinality of 5, or on a self-link (an agent counts itself), it applies."""
+    rules = parse_rules(rules_text)
+    matrix = [InteractionMatrixEntry("a", "cooc", 1, 6, "b", 2.0),
+              InteractionMatrixEntry("b", "walk", 0, 0)]
+    model = build_model(rules, matrix, side=9, sizes=5)
+    assert [d.message for d in errors(validate(model))] == [
+        "population 'a' has no matrix entry that applies with every agent active, "
+        "so no entry can move it"]
+    for entry in (dataclasses.replace(matrix[0], cardinality=5),
+                  InteractionMatrixEntry("a", "cooc", 1, 5, "a", 2.0)):
+        runnable = build_model(rules, [entry, matrix[1]], side=9, sizes=5)
+        assert errors(validate(runnable)) == []
+        step(initialize(runnable, 1), runnable, 1)
 
 
 @pytest.mark.parametrize("name", ["", "a b", ";x", "#x", "_average"])
