@@ -120,12 +120,12 @@ def _members(starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
 def _linked_counts(side, starts, xy, links, probes=None):
     """For links compiled by the layout's plan: link slot, row and the count
     of target agents within distance of each agent of the link's population,
-    per probe offset when ``probes`` are given (see :func:`disk_counts`).
-    ``xy`` holds one position per row, rows in population order."""
+    per probe offset when ``probes`` are given: ``links.count``, compiled for ``side`` and
+    ``probes``. ``xy`` holds one position per row, rows in population order."""
     point_group, points = _members(starts, links.targets)
     slot, probed = _members(starts, links.sources)
-    counts = disk_counts(side, links.radii, point_group, np.take(xy, points, axis=0),
-                         links.group[slot], np.take(xy, probed, axis=0), probes)
+    counts = links.count(point_group, np.take(xy, points, axis=0),
+                         links.group[slot], np.take(xy, probed, axis=0))
     return links.order[slot], probed, counts
 
 
@@ -235,9 +235,7 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
             move_idx[rows] = _sample_rows(probs, u[rows])
 
     new_pos = pos.copy()
-    # Offsets are -1, 0 or 1, so a table wraps x + d, read at x + d + 1.
-    wrapped = np.arange(-1, side + 1) % side
-    moved = np.take(wrapped, xy + np.take(OFFSET_ARRAY + 1, move_idx, 0))
+    moved = np.take(layout.ring, xy + np.take(layout.moves, move_idx, 0))
     if run_path:
         new_pos[agents] = moved
     else:  # two 1-D column scatters cost about half of one 2-D row scatter

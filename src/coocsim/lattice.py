@@ -98,50 +98,63 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
     once and sums each probe's disk (P + Q·J·k). Keys are built
     ``_CHUNK_KEYS`` at a time and only stamped cells are zeroed again, so
-    memory stays bounded; counts are exact int64.
+    memory stays bounded; counts are exact int64. It runs :func:`compile_disk_counts`
+    on the rows; a caller whose radii and probes hold compiles once, runs per call.
     """
+    return compile_disk_counts(side, radii, probes)(point_group, point_xy, query_group, query_xy)
+
+
+def compile_disk_counts(side: int, radii, probes=None):
+    """:func:`disk_counts` compiled: checks the radii and probes and builds, per batch, its
+    bounds, disk and the keys of both ways of stamping, once. Returns ``count(point_group,
+    point_xy, query_group, query_xy)``, which checks the rows, stamps, reads and unstamps."""
     flat = probes is None
     cells, half = side * side, side // 2  # shifts are signed, as from ``disk_offsets``
     probes = _ORIGIN if flat else (np.asarray(probes, dtype=np.int64) + half) % side - half
     if probes.ndim != 2 or probes.shape[1] != 2 or not len(probes):
         raise ValueError(f"probes must be a (J, 2) array with J >= 1, got shape {probes.shape}")
-    counts = np.zeros((len(probes), len(query_group)), dtype=np.int64)  # probe-major
-    point_group, query_group = np.asarray(point_group), np.asarray(query_group)
-    if (point_group[1:] < point_group[:-1]).any() or (query_group[1:] < query_group[:-1]).any():
-        raise ValueError("points and queries must each come in nondecreasing group order")
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
-    if any(len(r) and (r[0] < 0 or r[-1] >= n) for r in (point_group, query_group)):
-        raise ValueError(f"group indices must lie in [0, {n}), one per radius")
     radii = np.asarray(radii, dtype=float)
     if n and not 0 < radii.min() <= radii.max() < math.inf:  # NaN fails both
         bad = radii[~((radii > 0) & (radii < math.inf))]
         raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
-    point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]
-                          for r in (point_group, query_group))  # one batch: all rows
-    grid = np.zeros(min(n, per_batch) * cells, dtype=np.int32)
-    for b, first in enumerate(bounds[:-1]):
-        (p0, p1), (q0, q1) = point_at[b:b + 2], query_at[b:b + 2]
+    probed, origin = _keys(side, probes), _keys(side, _ORIGIN)
+    batches = []  # per batch: first group, then (stamp, read) by disks and by patches
+    for first in bounds[:-1]:
         disk = disk_offsets(side, float(radii[first]))
-        if p1 - p0 <= (q1 - q0) * len(probes):
-            stamp, read = disk, probes
-        else:
-            stamp, read = _ORIGIN, (probes[:, None] + disk + half).reshape(-1, 2) % side - half
-        # Each chunk of points is stamped, read by every query and unstamped.
-        point_chunk, query_chunk = _CHUNK_KEYS // len(stamp) or 1, _CHUNK_KEYS // len(read) or 1
-        for lo in range(p0, p1, point_chunk):
-            pts = slice(lo, min(lo + point_chunk, p1))
-            keys = _keys(side, point_group[pts] - first, point_xy[pts], stamp)
-            np.add.at(grid, keys, np.int32(1))
-            for qlo in range(q0, q1, query_chunk):
-                qs = slice(qlo, min(qlo + query_chunk, q1))
-                at = _keys(side, query_group[qs] - first, query_xy[qs], read)
-                got = grid[at] if len(read) == len(probes) else (  # a cell or a disk per probe
-                    grid[at].reshape(len(probes), -1, at.shape[1]).sum(axis=1))
-                counts[:, qs] += got
-            grid[keys] = 0
-    return counts[0] if flat else counts.T
+        summed = (probes[:, None] + disk + half).reshape(-1, 2) % side - half
+        batches.append((first, (_keys(side, disk), probed), (origin, _keys(side, summed))))
+
+    def count(point_group, point_xy, query_group, query_xy) -> np.ndarray:
+        counts = np.zeros((len(probes), len(query_group)), dtype=np.int64)  # probe-major
+        point_group, query_group = np.asarray(point_group), np.asarray(query_group)
+        if (point_group[1:] < point_group[:-1]).any() or (query_group[1:] < query_group[:-1]).any():
+            raise ValueError("points and queries must each come in nondecreasing group order")
+        if any(len(r) and (r[0] < 0 or r[-1] >= n) for r in (point_group, query_group)):
+            raise ValueError(f"group indices must lie in [0, {n}), one per radius")
+        point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]
+                              for r in (point_group, query_group))  # one batch: all rows
+        grid = np.zeros(min(n, per_batch) * cells, dtype=np.int32)
+        for b, (first, *ways) in enumerate(batches):
+            (p0, p1), (q0, q1) = point_at[b:b + 2], query_at[b:b + 2]
+            (stamp, point_chunk), (read, query_chunk) = ways[p1 - p0 > (q1 - q0) * len(probes)]
+            # Each chunk of points is stamped, read by every query and unstamped.
+            for lo in range(p0, p1, point_chunk):
+                pts = slice(lo, min(lo + point_chunk, p1))
+                keys = stamp(point_group[pts] - first, point_xy[pts])
+                np.add.at(grid, keys, np.int32(1))
+                for qlo in range(q0, q1, query_chunk):
+                    qs = slice(qlo, min(qlo + query_chunk, q1))
+                    at = read(query_group[qs] - first, query_xy[qs])
+                    got = grid[at] if len(at) == len(probes) else (  # a cell or a disk per probe
+                        grid[at].reshape(len(probes), -1, at.shape[1]).sum(axis=1))
+                    counts[:, qs] += got
+                grid[keys] = 0
+        return counts[0] if flat else counts.T
+
+    return count
 
 
 _ORIGIN = np.zeros((1, 2), dtype=np.int64)
@@ -159,16 +172,19 @@ def _wrap_table(side: int, pad: int) -> np.ndarray:
     return table
 
 
-def _keys(side: int, slot, xy, shift) -> np.ndarray:
-    """Grid keys of the patches ``xy + shift`` in grid slot ``slot``, one row
-    per shift: shape (len(shift), len(xy)). Signed shifts index one wrap
-    table padded by the largest: one add and one take per key."""
+def _keys(side: int, shift):
+    """``keys(slot, xy)``, the (len(shift), len(xy)) grid keys of ``xy + shift`` in grid slot
+    ``slot`` from one wrap table padded by the largest shift, and the rows per key chunk."""
     pad = int(np.abs(shift).max())
-    width = side + 2 * pad
-    at = (shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))) + (xy[:, 0] * width + xy[:, 1])
-    keys = np.take(_wrap_table(side, pad), at)
-    keys += slot * (side * side)
-    return keys
+    width, table, cells = side + 2 * pad, _wrap_table(side, pad), side * side
+    column = shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))
+
+    def keys(slot, xy) -> np.ndarray:
+        out = np.take(table, column + (xy[:, 0] * width + xy[:, 1]))
+        out += slot * cells
+        return out
+
+    return keys, _CHUNK_KEYS // len(shift) or 1
 
 
 def disk_sum(grid: np.ndarray, side: int, radius: float) -> np.ndarray:

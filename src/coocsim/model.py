@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import OFFSET_ARRAY, Lattice, compile_disk_counts
 from .metrics import crowding_indices
 from .world import WorldState, placement_generator
 
@@ -210,7 +210,8 @@ def validate(model: Model) -> list[Diagnostic]:
 
     rules = model.rules_by_name()
     sizes = model.population_sizes()
-    applies: dict[str, bool] = {}  # per source: has an entry that applies with every agent active
+    applies: dict[str, set] = {}  # per source: targets of entries applying at tick 0, None for good
+    freezes = set()  # sources of entries that can freeze, so whose active counts can fall
     for i, entry in enumerate(model.matrix):
         where = f"matrix entry {i} ({entry.source_family} {entry.interaction_name})"
         if entry.source_family not in pop_names:
@@ -232,9 +233,13 @@ def validate(model: Model) -> list[Diagnostic]:
             err(f"{where}: unknown target population {entry.target_family!r}")
         if has_distance and not 0 < entry.distance < float("inf"):
             err(f"{where}: distance must be a finite positive number, got {entry.distance}")
-        applies[entry.source_family] = applies.get(entry.source_family, False) or (
-            not has_target or entry.cardinality <= sizes.get(entry.target_family, 0))
+        size, targets = sizes.get(entry.target_family, 0), applies.setdefault(entry.source_family, set())
+        if not has_target or entry.cardinality <= size:  # None: a walk, or cardinality 0, lasts
+            targets.add(entry.target_family if entry.cardinality else None)
         if rule is not None:
+            if has_target and rule.deactivation_action == DEACTIVATE_SOURCE and (
+                    entry.cardinality <= size - (entry.target_family == entry.source_family)):
+                freezes.add(entry.source_family)  # a self-linked agent counts itself too
             if has_target and rule.movement_action != FOLLOW_PATH:
                 err(f"{where}: targeted entries must use a {FOLLOW_PATH} rule")
             if not has_target and rule.movement_action != RANDOM_WALK:
@@ -242,11 +247,13 @@ def validate(model: Model) -> list[Diagnostic]:
             if not has_target and rule.deactivation_action == DEACTIVATE_SOURCE:
                 warn(f"{where}: {DEACTIVATE_SOURCE} without a target never triggers")
 
-    # Active counts only fall, so an entry that does not apply at tick 0 never does.
+    # Counts fall only by freezing: what fails at tick 0 never applies; what holds may not last.
     for pop in model.populations:
         if not applies.get(pop.name):
             how = "" if pop.name not in applies else " that applies with every agent active"
             err(f"population {pop.name!r} has no matrix entry{how}, so no entry can move it")
+        elif applies[pop.name] <= freezes:
+            err(f"population {pop.name!r} may find no entry once its targets freeze; add a walk entry")
 
     p = model.params
     if not (np.isfinite(p.beta) and p.beta >= 0):
@@ -276,13 +283,13 @@ class _Entry(NamedTuple):
     distance: float | None
 
 
-#: (population, (target, distance)) links compiled for ``step``'s counts: per
-#: group (numbered by first appearance) its target and radius; per link, in
-#: group order, its population, group and place among the links as given.
-_Links = namedtuple("_Links", "targets radii sources group order")
+#: (population, (target, distance)) links compiled for ``step``'s counts: per group (numbered
+#: by first appearance) its target and radius; per link, in group order, its population, group
+#: and place among the links as given; and ``count``, from ``lattice.compile_disk_counts``.
+_Links = namedtuple("_Links", "targets radii sources group order count")
 
 
-def _compile_links(links) -> _Links | None:
+def _compile_links(links, side: int, probes=None) -> _Links | None:
     if not links:
         return None
     groups: dict[tuple[int, float], int] = {}
@@ -290,7 +297,8 @@ def _compile_links(links) -> _Links | None:
     order = np.argsort(link_group, kind="stable")
     keys = np.array(list(groups), dtype=float)  # (target, radius) per group
     return _Links(keys[:, 0].astype(np.int64), keys[:, 1],
-                  np.array([p for p, _ in links])[order], link_group[order], order)
+                  np.array([p for p, _ in links])[order], link_group[order], order,
+                  compile_disk_counts(side, keys[:, 1], probes))
 
 
 #: What ``step`` reads of one selection: the following populations, their
@@ -309,9 +317,11 @@ class _Layout:
 
     def __init__(self, model: Model):
         model.require_valid()
-        names = model.population_names
+        names, side = model.population_names, model.lattice.side
         self.n_pops = len(names)
-        self.world = (model.lattice.side, names)  # what a state of this model carries
+        self.world = (side, names)  # what a state of this model carries
+        # A walk's steps are -1, 0 or 1, so ``ring`` wraps x + d, read at x + d + 1.
+        self.ring, self.moves = np.arange(-1, side + 1) % side, OFFSET_ARRAY + 1
         pop_of = {name: i for i, name in enumerate(names)}
         rules = model.rules_by_name()
 
@@ -358,14 +368,15 @@ class _Layout:
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
+        side = self.world[0]
         selected = [(p, self.select(p, active_counts))
                     for p in np.flatnonzero(active_counts).tolist()]
         follow = [p for p, e in selected if e.target is not None]
         freezing = [(p, e) for p, e in selected if e.deactivates and e.target is not None]
         plan = _Plan(
             np.array(follow, dtype=np.int64),
-            _compile_links([(p, g) for p in follow for g in self.field_groups[p]]),
-            _compile_links([(p, (e.target, e.distance)) for p, e in freezing]),
+            _compile_links([(p, g) for p in follow for g in self.field_groups[p]], side, OFFSET_ARRAY),
+            _compile_links([(p, (e.target, e.distance)) for p, e in freezing], side),
             np.array([e.cardinality + (p == e.target) for p, e in freezing], dtype=np.int64))
         self._last = key, plan
         return plan

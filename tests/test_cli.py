@@ -295,6 +295,22 @@ def test_run_rejects_a_population_no_entry_applies_to_before_writing(tmp_path, c
     _assert_rejected_before_output(rc, out, "\n".join(rest), "'a' has no matrix entry that applies")
 
 
+def test_run_rejects_a_population_whose_targets_can_all_freeze_out_before_writing(tmp_path, capsys):
+    """``b``'s one entry follows ``a`` and applies at tick 0, but ``a`` freezes
+    next to ``c``: once every ``a`` froze, no entry of ``b`` applies, and the
+    run used to stop there with reports written. It is refused before any output."""
+    (tmp_path / "matrix.txt").write_text("a walk 0 0\na cooc 1 1 c 2\nb cooc 1 1 a 2\nc walk 0 0\n")
+    (tmp_path / "sizes.txt").write_text("a 3\nb 5\nc 300\n")
+    out = tmp_path / "out"
+    rc = run_cli("run", *_run_args(tmp_path, out, **{
+        "--matrix": tmp_path / "matrix.txt", "--sizes": tmp_path / "sizes.txt", "--side": 21,
+        "--steps": 200, "--target": "a", "--report-ticks": "0,200"}))
+    warning, *rest = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: 308 agents exceed the crowding threshold")
+    _assert_rejected_before_output(rc, out, "\n".join(rest), "'b' may find no entry")
+    assert "add a walk entry" in rest[0]
+
+
 def test_a_bug_inside_a_subcommand_keeps_its_traceback(tmp_path, monkeypatch):
     """Only refusals become error lines; any other exception propagates."""
     def broken(*args, **kwargs):

@@ -23,6 +23,7 @@ from coocsim.lattice import OFFSET_ARRAY
 from coocsim.model import InteractionMatrixEntry, validate
 
 from reference import (
+    make_small_set_model,
     make_state,
     make_toy_model,
     make_walk_model,
@@ -974,6 +975,32 @@ def test_a_hub_and_ring_run_whose_selection_holds_compiles_one_plan(monkeypatch)
     assert not final.active.all()  # agents froze, yet no selection changed
     assert len(plans) == 8 and _compiled(plans) == 1
     assert sorted(selects) == list(range(33))
+
+
+def test_a_small_set_run_compiles_its_counts_only_when_the_plan_does(monkeypatch):
+    """The layout compiles a plan's field count (probed) and freeze count
+    (flat) once with the plan; a tick that reuses the plan compiles nothing,
+    and ``step`` never falls back to the compile-and-run ``disk_counts``."""
+    compiled = []
+    compile_counts = model_module.compile_disk_counts
+
+    def compile_spy(side, radii, probes=None):
+        compiled.append("field" if probes is not None else "freeze")
+        return compile_counts(side, radii, probes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("step counted without the plan's compiled count")
+
+    monkeypatch.setattr(model_module, "compile_disk_counts", compile_spy)
+    monkeypatch.setattr(dynamics, "disk_counts", refuse)
+    plans, _ = _spy_plans(monkeypatch)
+    model = make_small_set_model(max_ticks=100)
+    final = run(model).final_state
+    assert len(plans) == 100 and not final.active.all()
+    new = [plan for k, plan in enumerate(plans) if k == 0 or plan is not plans[k - 1]]
+    assert 2 <= len(new) == _compiled(plans) <= 10
+    assert compiled == [kind for plan in new for kind, links in
+                        (("field", plan.field), ("freeze", plan.freeze)) if links is not None]
 
 
 def test_a_target_population_that_freezes_out_rebuilds_the_plan(monkeypatch):

@@ -252,6 +252,51 @@ def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_
     assert flat[query_group == 3].min() > 0 and not flat[query_group == 5].any()
 
 
+@pytest.mark.parametrize("grid_cells,chunk_keys", [(1 << 20, 1 << 20), (2 * 81, 5)],
+                         ids=["one_batch", "batches_and_chunks"])
+def test_a_compiled_count_serves_many_rows_as_disk_counts_does(monkeypatch, grid_cells,
+                                                               chunk_keys):
+    """One compiled count, run on one set of rows after another, counts as
+    :func:`disk_counts` and pairwise counting do. The small budgets split the
+    groups into batches of at most two groups and the rows into chunks of a
+    few keys; 600 points against 10 queries stamp points and sum each probe's
+    disk, 20 against 100 stamp disks and read a cell per probe, so one compiled
+    count runs both ways in turn on a grid the last call left clean."""
+    monkeypatch.setattr(lattice, "_GRID_CELLS", grid_cells)
+    monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    side, radii = 9, [2.0, 1.0, 1.0, 2.0, 7.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
+    flat = lattice.compile_disk_counts(side, radii)
+    probed = lattice.compile_disk_counts(side, radii, OFFSET_ARRAY)
+    rng = np.random.default_rng(29)
+    for n_points, n_queries in [(600, 10), (20, 100), (600, 10), (0, 12), (30, 0)]:
+        point_group = np.sort(rng.integers(0, len(radii), n_points))   # rows come grouped
+        query_group = np.sort(rng.integers(0, len(radii), n_queries))
+        point_xy, query_xy = rng.integers(0, side, (n_points, 2)), rng.integers(0, side, (n_queries, 2))
+        rows = (point_group, point_xy, query_group, query_xy)
+        got, got_probed = flat(*rows), probed(*rows)
+        assert got.dtype == got_probed.dtype == np.int64
+        assert got.tolist() == disk_counts(side, radii, *rows).tolist() == _brute_disk_counts(
+            side, radii, *rows)
+        assert got_probed.tolist() == disk_counts(side, radii, *rows, OFFSET_ARRAY).tolist() == (
+            _brute_probe_counts(side, radii, *rows, OFFSET_ARRAY))
+
+
+def test_a_compiled_count_checks_radii_and_probes_once_and_rows_on_every_run():
+    """The radii and the probes are refused when the count compiles, before
+    any rows; rows out of group order or range are refused on each run."""
+    with pytest.raises(ValueError, match="finite and > 0"):
+        lattice.compile_disk_counts(7, [2.0, float("nan")])
+    with pytest.raises(ValueError, match="probes"):
+        lattice.compile_disk_counts(7, [2.0], np.zeros((0, 2), dtype=np.int64))
+    count = lattice.compile_disk_counts(7, [1.0, 2.0], OFFSET_ARRAY)
+    xy = np.array([(1, 1), (2, 2)])
+    with pytest.raises(ValueError, match="nondecreasing group order"):
+        count(np.array([1, 0]), xy, np.array([0, 1]), xy)
+    with pytest.raises(ValueError, match="group indices"):
+        count(np.array([0, 2]), xy, np.array([0, 1]), xy)
+    assert count(np.array([0, 1]), xy, np.array([0, 1]), xy)[:, 0].tolist() == [0, 1]
+
+
 @pytest.mark.parametrize("probes", [np.zeros((0, 2), dtype=np.int64), np.zeros(2, dtype=np.int64),
                                     np.zeros((3, 3), dtype=np.int64)])
 def test_disk_counts_rejects_malformed_probes(probes):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coocsim import build_model, initialize, step, validate
+from coocsim import build_model, initialize, run, step, validate
 from coocsim.io import EdgeList, build_relation_model, parse_edge_list, parse_matrix, parse_rules
 from coocsim.model import (
     InteractionMatrixEntry,
@@ -82,6 +82,37 @@ def test_population_no_entry_applies_to_with_every_agent_active_is_an_error(rule
         runnable = build_model(rules, [entry, matrix[1]], side=9, sizes=5)
         assert errors(validate(runnable)) == []
         step(initialize(runnable, 1), runnable, 1)
+
+
+def test_a_population_whose_targets_can_all_freeze_out_is_an_error(rules_text):
+    """Active counts fall only as agents freeze. ``b``'s one entry follows ``a``,
+    which freezes next to ``c``, so ``b`` can be left with no entry; a walk
+    entry, a target that cannot freeze, or a cardinality of 0 keeps it
+    runnable. On a self-link an agent counts itself: 5 ``a`` agents at
+    cardinality 4 can freeze (two at once leave 3 < 4 active), at cardinality
+    5 none ever does."""
+    rules = parse_rules(rules_text)
+    walk = {name: InteractionMatrixEntry(name, "walk", 0, 0) for name in "abc"}
+    a_freezes, b_follows = (InteractionMatrixEntry("a", "cooc", 1, 1, "c", 2.0),
+                            InteractionMatrixEntry("b", "cooc", 1, 1, "a", 2.0))
+    sizes = {"a": 3, "b": 5, "c": 300}
+    model = build_model(rules, [walk["a"], a_freezes, b_follows, walk["c"]], side=21, sizes=sizes)
+    assert [d.message for d in errors(validate(model))] == [
+        "population 'b' may find no entry once its targets freeze; add a walk entry"]
+    never_applies = dataclasses.replace(a_freezes, cardinality=301)  # so ``a`` never freezes
+    needs_none = dataclasses.replace(b_follows, cardinality=0)  # applies with no ``a`` active
+    for matrix in ([walk["a"], a_freezes, b_follows, walk["b"], walk["c"]],
+                   [walk["a"], never_applies, b_follows, walk["c"]],
+                   [walk["a"], a_freezes, needs_none, walk["c"]]):
+        assert errors(validate(build_model(rules, matrix, side=21, sizes=sizes))) == []
+    self_link = InteractionMatrixEntry("a", "cooc", 1, 4, "a", 2.0)
+    model = build_model(rules, [self_link, walk["b"]], side=9, sizes=5)
+    assert [d.message for d in errors(validate(model))] == [
+        "population 'a' may find no entry once its targets freeze; add a walk entry"]
+    model = build_model(rules, [dataclasses.replace(self_link, cardinality=5), walk["b"]],
+                        side=9, sizes=5, max_ticks=300)
+    assert errors(validate(model)) == []
+    assert run(model, seed=3).final_state.active.all()
 
 
 @pytest.mark.parametrize("name", ["", "a b", ";x", "#x", "_average"])
