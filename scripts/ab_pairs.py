@@ -19,6 +19,12 @@ parent's by more than the parent's interquartile range. ``regressed``, per
 metric: the change's median is worse than the parent's by more than the
 relative ``bound`` that ``BENCHMARK.json`` sets for that metric, in the
 direction of its ``better``.
+
+The two checkouts must resolve to paths of equal length. Identical code run
+from checkouts whose paths differ in length took different numbers of minor
+page faults per star_ring run (8950, 11183 and 11211 at one seed, for three
+path lengths), while two different paths of equal length gave the same
+counts seed by seed: the path's length shifts the program's memory layout.
 """
 
 from __future__ import annotations
@@ -106,6 +112,11 @@ def main(argv: list[str] | None = None) -> None:
     if len(seeds) < 2:  # the quartiles of one pair do not exist
         raise SystemExit(f"error: --seeds {args.seeds!r} names {len(seeds)} distinct seed(s); "
                          "the quartiles need at least two")
+    paths = [str(checkout.resolve()) for checkout in (args.parent, args.change)]
+    if len(paths[0]) != len(paths[1]):  # see the module docstring
+        raise SystemExit(f"error: checkout paths {paths[0]!r} and {paths[1]!r} differ in "
+                         f"length ({len(paths[0])} and {len(paths[1])} characters); "
+                         "use paths of equal length")
 
     runs: dict[int, dict[str, dict[str, float]]] = {}
     for seed in seeds:

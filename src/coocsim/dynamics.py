@@ -198,7 +198,7 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
 
     # Per-tick work arrays have one row per active agent, in population order.
     n, first = int(np.count_nonzero(active)), int(np.argmax(active))
-    last = len(active) - int(np.argmax(active[::-1])) if n else first
+    last = first + n if active[first:first + n].all() else len(active) - int(np.argmax(active[::-1]))
     u = agent_uniforms(rng_root, state.tick, last - first, first)
     pops = pop_index[first:last]
     run_path = last - first == n and not (pops[1:] < pops[:-1]).any()
@@ -230,9 +230,10 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
         # Self-contributions of a self-linking entry cancel between the +d and
         # -d probes, so the raw counts are already correct.
         for lo in range(0, len(follow), _MOVE_ROWS):
-            hs, rows = h[lo:lo + _MOVE_ROWS], follow[lo:lo + _MOVE_ROWS]
-            probs = bias_weights(hs, hs[:, ::-1], model.params.beta)
+            rows, hi = follow[lo:lo + _MOVE_ROWS], lo + _MOVE_ROWS
+            probs = bias_weights(h[lo:hi], h[lo:hi, ::-1], model.params.beta)
             move_idx[rows] = _sample_rows(probs, u[rows])
+        del h  # before the freeze count's keys
 
     new_pos = pos.copy()
     moved = np.take(layout.ring, xy + np.take(layout.moves, move_idx, 0))
@@ -252,8 +253,7 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
 
     new_pos.setflags(write=False)
     new_active.setflags(write=False)
-    return WorldState(tick=state.tick + 1, side=side, population_names=state.population_names,
-                      population_index=pop_index, positions=new_pos, active=new_active)
+    return state._next(new_pos, new_active)  # wrapped by ``layout.ring``, so unchecked
 
 
 @dataclass(frozen=True)

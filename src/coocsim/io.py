@@ -301,8 +301,10 @@ _COLOUR_ROWS = np.tile(np.array(PALETTE + ((0, 0, 0),), dtype=np.uint8), _SCALE)
 _COLOUR_ROWS.setflags(write=False)
 
 #: Bytes per ``sink.write`` of :func:`render_snapshot`, in whole patch rows (one at least).
-#: Small enough that the reused buffer stays in cache and comes from the heap, not a fresh mapping.
-_WRITE_BYTES = 1 << 16
+#: Fresh-process medians per frame to a new file (2-core host), 64 / 128 / 256 / 512 KB: side
+#: 301 8.3 / 7.6 / 7.4 / 6.7 ms (256 and 512 KB tied at 6.2 ms in 30 more pairs), side 101
+#: 1.34 / 1.12 / 1.24 / 1.52 ms. 256 KB is the best at both sides together.
+_WRITE_BYTES = 1 << 18
 
 
 def render_snapshot(state: WorldState, sink: BinaryIO) -> int:

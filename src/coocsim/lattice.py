@@ -71,10 +71,12 @@ def disk_offsets(side: int, radius: float) -> np.ndarray:
     return out
 
 
-#: Cells of one stamp grid and keys of one stamp chunk: the memory bounds
-#: of :func:`disk_counts`, whatever the number of groups, points or radius.
+#: Cells of one stamp grid, keys of one stamp chunk and of one read chunk: the memory
+#: bounds of :func:`disk_counts`, whatever the number of groups, points or radius. Every
+#: stamp chunk is read whole, so only the read side can shrink without repeating reads.
 _GRID_CELLS = 1 << 20
 _CHUNK_KEYS = 1 << 20
+_READ_KEYS = 1 << 16
 
 
 def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
@@ -96,9 +98,9 @@ def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
     keyed ``((group - first) * side + x) * side + y``. With P points, Q·J
     probed patches and k-patch disks, it stamps every point's disk and reads
     one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
-    once and sums each probe's disk (P + Q·J·k). Keys are built
-    ``_CHUNK_KEYS`` at a time and only stamped cells are zeroed again, so
-    memory stays bounded; counts are exact int64. It runs :func:`compile_disk_counts`
+    once and sums each probe's disk (P + Q·J·k). Keys are built ``_CHUNK_KEYS``
+    (stamps) or ``_READ_KEYS`` (reads) at a time and only stamped cells are zeroed
+    again, so memory stays bounded; counts are exact int64. It runs :func:`compile_disk_counts`
     on the rows; a caller whose radii and probes hold compiles once, runs per call.
     """
     return compile_disk_counts(side, radii, probes)(point_group, point_xy, query_group, query_xy)
@@ -120,12 +122,13 @@ def compile_disk_counts(side: int, radii, probes=None):
         raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
-    probed, origin = _keys(side, probes), _keys(side, _ORIGIN)
+    probed, origin = _keys(side, probes, _READ_KEYS), _keys(side, _ORIGIN, _CHUNK_KEYS)
     batches = []  # per batch: first group, then (stamp, read) by disks and by patches
     for first in bounds[:-1]:
         disk = disk_offsets(side, float(radii[first]))
         summed = (probes[:, None] + disk + half).reshape(-1, 2) % side - half
-        batches.append((first, (_keys(side, disk), probed), (origin, _keys(side, summed))))
+        batches.append((first, (_keys(side, disk, _CHUNK_KEYS), probed),
+                        (origin, _keys(side, summed, _READ_KEYS))))
 
     def count(point_group, point_xy, query_group, query_xy) -> np.ndarray:
         counts = np.zeros((len(probes), len(query_group)), dtype=np.int64)  # probe-major
@@ -172,9 +175,10 @@ def _wrap_table(side: int, pad: int) -> np.ndarray:
     return table
 
 
-def _keys(side: int, shift):
+def _keys(side: int, shift, budget: int):
     """``keys(slot, xy)``, the (len(shift), len(xy)) grid keys of ``xy + shift`` in grid slot
-    ``slot`` from one wrap table padded by the largest shift, and the rows per key chunk."""
+    ``slot`` from one wrap table padded by the largest shift, and the rows per chunk of
+    at most ``budget`` keys (one row at least)."""
     pad = int(np.abs(shift).max())
     width, table, cells = side + 2 * pad, _wrap_table(side, pad), side * side
     column = shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))
@@ -184,7 +188,7 @@ def _keys(side: int, shift):
         out += slot * cells
         return out
 
-    return keys, _CHUNK_KEYS // len(shift) or 1
+    return keys, budget // len(shift) or 1
 
 
 def disk_sum(grid: np.ndarray, side: int, radius: float) -> np.ndarray:

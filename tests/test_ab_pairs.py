@@ -108,3 +108,26 @@ def test_fewer_than_two_distinct_seeds_are_refused_before_any_run(monkeypatch, c
             ab_pairs.main(["parent", "change", "--workload", "small_set", "--seeds", seeds])
         message = str(stopped.value.code)
         assert message.startswith("error: --seeds") and "\n" not in message
+
+
+def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(
+        monkeypatch, tmp_path):
+    """Unequal path lengths shift the memory layout of the runs, so the
+    script stops with one error line before it runs a benchmark; paths of
+    equal length go on to the runs."""
+    for name in ("parent", "change", "longer_parent"):
+        (tmp_path / name).mkdir()
+    monkeypatch.setattr(ab_pairs, "bench_metrics", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as stopped:
+        ab_pairs.main([str(tmp_path / "longer_parent"), str(tmp_path / "change"),
+                       "--workload", "small_set", "--seeds", "1-2"])
+    message = str(stopped.value.code)
+    assert message.startswith("error: checkout paths") and "\n" not in message
+    assert "equal length" in message
+
+    ran = []
+    monkeypatch.setattr(ab_pairs, "bench_metrics",
+                        lambda checkout, *args: ran.append(checkout.name) or {"wall_s": 0.1})
+    ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                   "--workload", "small_set", "--seeds", "1-2"])
+    assert sorted(ran) == ["change", "change", "parent", "parent"]

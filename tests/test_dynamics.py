@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coocsim import (
     ConfigurationFault,
     TransitionDistribution,
+    WorldState,
     agent_uniforms,
     bias_weights,
     build_model,
@@ -668,9 +669,12 @@ def test_transition_distribution_probes_match_the_oracle_on_the_hub_and_ring():
 def test_step_matches_reference_on_shared_targets_and_whole_torus_disks(monkeypatch):
     """One population follows the same target at two distances, another
     population's distance covers the whole torus. Tiny grid and chunk
-    budgets force one group per grid and many stamp chunks."""
+    budgets force one group per grid, many stamp chunks and read chunks of
+    two followers' probes, so the field stamps disks and reads cells and the
+    freeze check stamps points and sums disks across chunk boundaries."""
     monkeypatch.setattr(lattice, "_GRID_CELLS", 1)
     monkeypatch.setattr(lattice, "_CHUNK_KEYS", 7)
+    monkeypatch.setattr(lattice, "_READ_KEYS", 20)
     rules = parse_rules("""
 interaction walk
 actions random-walk deactivate-none
@@ -1084,6 +1088,44 @@ def test_step_conserves_populations_and_only_freezes(world, seed):
         assert not (after.active & ~state.active).any()
         frozen = ~state.active
         assert np.array_equal(after.positions[frozen], state.positions[frozen])
+        state = after
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_worlds(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["run_past_first_id", "run_before_last_id", "scattered", "none"]), st.data())
+def test_every_successor_rebuilds_through_the_checked_constructor(world, seed, kind, data):
+    """``step`` builds its successor without ``WorldState``'s checks, so each
+    successor must pass them: rebuilt through the public constructor it has
+    equal, read-only arrays of the same dtypes. The active sets are one run
+    of ids that starts past id 0 or ends before the last id (the run test's
+    ``first + n``), scattered ids, or no id at all; exactly the active agents
+    move, as a Moore step always changes the patch."""
+    model, state = world
+    n, ids = state.n_agents, np.arange(state.n_agents)
+    if kind.startswith("run"):
+        assume(n >= 2)
+        past_first = kind == "run_past_first_id"
+        lo = data.draw(st.integers(1, n - 1) if past_first else st.integers(0, n - 2))
+        hi = data.draw(st.integers(lo + 1, n if past_first else n - 1))
+        state = dataclasses.replace(state, active=(ids >= lo) & (ids < hi))
+    elif kind == "none":
+        state = dataclasses.replace(state, active=np.zeros(n, dtype=bool))
+    for _ in range(3):
+        after = step(state, model, seed)
+        rebuilt = WorldState(tick=after.tick, side=after.side,
+                             population_names=after.population_names,
+                             population_index=after.population_index,
+                             positions=after.positions, active=after.active)
+        assert after.tick == state.tick + 1 and after.side == state.side
+        assert after.population_index is state.population_index
+        moved = (after.positions != state.positions).any(axis=1)
+        assert np.array_equal(moved, state.active)
+        for name in ("population_index", "positions", "active"):
+            got, want = getattr(after, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype == getattr(state, name).dtype, name
+            assert got.shape == want.shape and np.array_equal(got, want), name
+            assert not got.flags.writeable and not want.flags.writeable, name
         state = after
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coocsim import build_model, initialize
+from coocsim import build_model, initialize, io as io_module
 from coocsim.io import (
     COOC_RULE,
     PALETTE,
@@ -482,7 +482,9 @@ def test_snapshot_highest_id_wins_among_interleaved_populations():
     assert lit == {(1, 2), (3, 0)}
 
 
-def test_snapshot_streams_rows_equal_to_the_scaled_image():
+def test_snapshot_streams_rows_equal_to_the_scaled_image(monkeypatch):
+    # 64 KB blocks, smaller than the default, so side 61 still spans many.
+    monkeypatch.setattr(io_module, "_WRITE_BYTES", 1 << 16)
     rng = np.random.default_rng(23)
     names = ("a", "b", "c", "d")
     rows = [(names[rng.integers(0, 4)], tuple(rng.integers(0, 6, 2)), bool(rng.random() < 0.7))

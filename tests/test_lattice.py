@@ -156,11 +156,14 @@ def _brute_disk_counts(side, radii, point_group, point_xy, query_group, query_xy
     ]
 
 
-@pytest.mark.parametrize("grid_cells,chunk_keys", [(1 << 20, 1 << 20), (1, 5)])
-def test_disk_counts_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys):
-    # The small budgets force one group per grid and a few stamps per chunk.
+@pytest.mark.parametrize("grid_cells,chunk_keys,read_keys",
+                         [(1 << 20, 1 << 20, 1 << 16), (1, 5, 3)], ids=["1048576-1048576", "1-5"])
+def test_disk_counts_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys, read_keys):
+    # The small budgets force one group per grid, a few stamps per chunk and
+    # reads of three cells, or of one query's disk, per chunk.
     monkeypatch.setattr(lattice, "_GRID_CELLS", grid_cells)
     monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    monkeypatch.setattr(lattice, "_READ_KEYS", read_keys)
     rng = np.random.default_rng(17)
     side = 9
     radii = [2.0, 1.0, 2.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
@@ -188,17 +191,20 @@ def _brute_probe_counts(side, radii, point_group, point_xy, query_group, query_x
         for probe in probes))]
 
 
-@pytest.mark.parametrize("grid_cells,chunk_keys", [(1 << 20, 1 << 20), (1, 5)])
+@pytest.mark.parametrize("grid_cells,chunk_keys,read_keys",
+                         [(1 << 20, 1 << 20, 1 << 16), (1, 5, 100)], ids=["1048576-1048576", "1-5"])
 @pytest.mark.parametrize("n_points,n_queries", [(600, 10), (20, 100)])
 def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys,
-                                                         n_points, n_queries):
+                                                         read_keys, n_points, n_queries):
     # 600 points against 10 queries stamps point occupancy and sums each
     # probe's disk; 20 against 100 stamps point disks and reads one cell per
     # probe. The small budgets put one group in each grid, so batches reuse
-    # a grid whose stamped cells were zeroed, and split both sides into
-    # chunks of a few keys.
+    # a grid whose stamped cells were zeroed, split the stamps into chunks of
+    # a few keys and the reads into chunks of 100 keys: 12 queries' probe
+    # cells, 7 queries' radius-2 disks without probes, one query's probed disks.
     monkeypatch.setattr(lattice, "_GRID_CELLS", grid_cells)
     monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    monkeypatch.setattr(lattice, "_READ_KEYS", read_keys)
     rng = np.random.default_rng(n_points)
     side = 9
     radii = [2.0, 1.0, 2.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
@@ -221,10 +227,11 @@ def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells
                                                query_group, query_xy)
 
 
-@pytest.mark.parametrize("chunk_keys", [1 << 20, 5])
+@pytest.mark.parametrize("chunk_keys,read_keys", [(1 << 20, 1 << 16), (5, 100)],
+                         ids=["1048576", "5"])
 @pytest.mark.parametrize("groups_per_grid", [1, 2, 7], ids=["one", "two", "all"])
 def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_per_grid,
-                                                           chunk_keys):
+                                                           chunk_keys, read_keys):
     """Consecutive groups of one radius share a grid in batches: the grid
     holds one group, two or all seven. Points and queries come grouped; the
     radii 2.0 (groups 0, 2, 6) and 1.0 (groups 1, 5) recur after other radii,
@@ -234,6 +241,7 @@ def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_
     side = 9
     monkeypatch.setattr(lattice, "_GRID_CELLS", groups_per_grid * side * side)
     monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    monkeypatch.setattr(lattice, "_READ_KEYS", read_keys)
     rng = np.random.default_rng(groups_per_grid)
     radii = [2.0, 1.0, 2.0, 7.0, 1.5, 1.0, 2.0]
     point_group = np.sort(np.r_[np.full(150, 3), rng.choice([0, 1, 2, 4, 6], 60)])
@@ -252,18 +260,22 @@ def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_
     assert flat[query_group == 3].min() > 0 and not flat[query_group == 5].any()
 
 
-@pytest.mark.parametrize("grid_cells,chunk_keys", [(1 << 20, 1 << 20), (2 * 81, 5)],
+@pytest.mark.parametrize("grid_cells,chunk_keys,read_keys",
+                         [(1 << 20, 1 << 20, 1 << 16), (2 * 81, 5, 1)],
                          ids=["one_batch", "batches_and_chunks"])
 def test_a_compiled_count_serves_many_rows_as_disk_counts_does(monkeypatch, grid_cells,
-                                                               chunk_keys):
+                                                               chunk_keys, read_keys):
     """One compiled count, run on one set of rows after another, counts as
     :func:`disk_counts` and pairwise counting do. The small budgets split the
     groups into batches of at most two groups and the rows into chunks of a
-    few keys; 600 points against 10 queries stamp points and sum each probe's
-    disk, 20 against 100 stamp disks and read a cell per probe, so one compiled
-    count runs both ways in turn on a grid the last call left clean."""
+    few keys and the reads into chunks of one query (a budget below one query's
+    keys still reads a query per chunk); 600 points against 10 queries stamp
+    points and sum each probe's disk, 20 against 100 stamp disks and read a
+    cell per probe, so one compiled count runs both ways in turn on a grid the
+    last call left clean."""
     monkeypatch.setattr(lattice, "_GRID_CELLS", grid_cells)
     monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    monkeypatch.setattr(lattice, "_READ_KEYS", read_keys)
     side, radii = 9, [2.0, 1.0, 1.0, 2.0, 7.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
     flat = lattice.compile_disk_counts(side, radii)
     probed = lattice.compile_disk_counts(side, radii, OFFSET_ARRAY)
