@@ -13,9 +13,9 @@ Each tick's ``dynamics.step`` time is split into stages by timing the
 kernel's helpers from the outside:
 
 * ``uniforms``: the ``agent_uniforms`` call (the tick's move draws);
-* ``field``: the ``_linked_counts`` call with probe offsets (the 8 probes
-  of every following agent);
-* ``deactivation``: the ``_linked_counts`` call without;
+* ``field``: the ``_linked_counts`` call that returns 2-D counts (the 8
+  probes of every following agent);
+* ``deactivation``: the ``_linked_counts`` call that returns 1-D counts;
 * ``move_apply``: from the return of the last ``_sample_rows`` call (the
   move draw runs in blocks of followers) to the start of the deactivation
   call (writing the moved positions);
@@ -70,13 +70,13 @@ def _instrument(ticks: list[dict]) -> contextlib.ExitStack:
         marks["uniforms"] = now() - start
         return out
 
-    def timed_linked_counts(side, starts, xy, links, probes=None):
+    def timed_linked_counts(starts, xy, links):
         start = now()
-        stage = "deactivation" if probes is None else "field"
+        out = linked_counts(starts, xy, links)
+        stage = "field" if out[2].ndim == 2 else "deactivation"  # (rows, 8) or per row
+        marks[stage] = now() - start
         if stage == "deactivation" and "sampled" in marks:
             marks["move_apply"] = start - marks.pop("sampled")
-        out = linked_counts(side, starts, xy, links, probes)
-        marks[stage] = now() - start
         return out
 
     def timed_sample_rows(probs, u):

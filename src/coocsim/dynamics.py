@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import (
-    OFFSET_ARRAY,
-    OFFSET_LENGTHS,
-    disk_counts,
-    wrap,
-)
+from .lattice import OFFSET_LENGTHS, compile_disk_counts, wrap
 from .model import ConfigurationFault, Model, initialize, seed_error
 from .world import WorldState, _owned, agent_uniforms
 
@@ -117,11 +112,11 @@ def _members(starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
     return slot, first + np.arange(len(slot))
 
 
-def _linked_counts(side, starts, xy, links, probes=None):
+def _linked_counts(starts, xy, links):
     """For links compiled by the layout's plan: link slot, row and the count
     of target agents within distance of each agent of the link's population,
-    per probe offset when ``probes`` are given: ``links.count``, compiled for ``side`` and
-    ``probes``. ``xy`` holds one position per row, rows in population order."""
+    per Moore step if the links were compiled probed: ``links.count``.
+    ``xy`` holds one position per row, rows in population order."""
     point_group, points = _members(starts, links.targets)
     slot, probed = _members(starts, links.sources)
     counts = links.count(point_group, np.take(xy, points, axis=0),
@@ -129,18 +124,18 @@ def _linked_counts(side, starts, xy, links, probes=None):
     return links.order[slot], probed, counts
 
 
-def _field(center, agent_id: int, state: WorldState, model: Model, probes) -> np.ndarray:
-    """Per probe offset, the matrix-linked active neighbours of ``agent_id``
-    around ``center`` moved by the offset; the agent itself never counts."""
+def _field(center, agent_id: int, state: WorldState, model: Model, probed: bool) -> np.ndarray:
+    """The matrix-linked active neighbours of ``agent_id`` around ``center``, moved by
+    each Moore step if ``probed``; the agent itself never counts."""
     layout = model.layout
     layout.check(state)
     groups = layout.field_groups[int(state.population_index[agent_id])]
     others = state.active & (np.arange(state.n_agents) != agent_id)
     agents, starts = _by_population(others, state.population_index, layout.n_pops)
     point_group, points = _members(starts, [target for target, _ in groups])
-    counts = disk_counts(model.lattice.side, [distance for _, distance in groups],
-                         point_group, state.positions[agents[points]],
-                         np.arange(len(groups)), np.full((len(groups), 2), center), probes)
+    count = compile_disk_counts(model.lattice.side, [distance for _, distance in groups], probed)
+    counts = count(point_group, state.positions[agents[points]],
+                   np.arange(len(groups)), np.full((len(groups), 2), center))
     return counts.sum(axis=0)
 
 
@@ -151,12 +146,12 @@ def potential_at(candidate, agent_id: int, state: WorldState, model: Model) -> i
     the agent's population to T and b lies within that entry's distance of
     ``candidate``. The probing agent itself never counts.
     """
-    return int(_field(wrap(candidate, model.lattice), agent_id, state, model, None))
+    return int(_field(wrap(candidate, model.lattice), agent_id, state, model, False))
 
 
 def transition_distribution(agent_id: int, state: WorldState, model: Model) -> TransitionDistribution:
     """Biased-walk law for one active agent, probing the field at r +- d."""
-    h = _field(state.positions[agent_id], agent_id, state, model, OFFSET_ARRAY)
+    h = _field(state.positions[agent_id], agent_id, state, model, True)
     # The probe at r - d is the probe at the paired opposite offset.
     probs = bias_weights(h, h[::-1], model.params.beta)
     return TransitionDistribution(probs)
@@ -190,7 +185,6 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
         raise ValueError(problem)
     layout = model.layout
     layout.check(state)
-    side = model.lattice.side
     n_pops = layout.n_pops
     pos = state.positions
     pop_index = state.population_index
@@ -218,11 +212,11 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
     # over its population's field groups, of the tick-t active agents of the
     # group's target within the group's distance. ``h``'s memory is probe-major.
     if plan.field is not None:
-        _, probed, h = _linked_counts(side, starts, xy, plan.field, OFFSET_ARRAY)
+        _, probed, h = _linked_counts(starts, xy, plan.field)
         # With one group per follower, h's rows are the probed rows, in group order.
-        one_group = len(plan.field.sources) == len(plan.follow)
-        follow = probed if one_group else _members(starts, plan.follow)[1]
-        if len(probed) > len(follow):  # several groups per follower: add each row's links
+        follow = probed
+        if len(plan.field.sources) > len(plan.follow):  # several groups per follower: add them
+            follow = _members(starts, plan.follow)[1]
             rank = np.empty(n, dtype=np.int64)  # row of each follower in h
             rank[follow] = np.arange(len(follow))
             keys = (np.arange(8)[:, None] * len(follow) + rank[probed]).ravel()
@@ -247,7 +241,7 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
     # not shadow one another.
     new_active = active.copy()
     if plan.freeze is not None:
-        slot, probed, near = _linked_counts(side, starts, moved, plan.freeze)
+        slot, probed, near = _linked_counts(starts, moved, plan.freeze)
         rows = probed[near >= plan.threshold[slot]]
         new_active[first + rows if run_path else agents[rows]] = False
 

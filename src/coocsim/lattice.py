@@ -72,49 +72,40 @@ def disk_offsets(side: int, radius: float) -> np.ndarray:
 
 
 #: Cells of one stamp grid, keys of one stamp chunk and of one read chunk: the memory
-#: bounds of :func:`disk_counts`, whatever the number of groups, points or radius. Every
-#: stamp chunk is read whole, so only the read side can shrink without repeating reads.
+#: bounds of :func:`compile_disk_counts`, whatever the number of groups, points or radius.
+#: Every stamp chunk is read whole, so only the read side can shrink without repeating reads.
 _GRID_CELLS = 1 << 20
 _CHUNK_KEYS = 1 << 20
 _READ_KEYS = 1 << 16
 
 
-def disk_counts(side: int, radii, point_group, point_xy, query_group, query_xy,
-                probes=None) -> np.ndarray:
-    """Per query, the points of the query's group within the group's radius.
+def compile_disk_counts(side: int, radii, probed: bool = False):
+    """``count(point_group, point_xy, query_group, query_xy)``: per query, the points of
+    the query's group within the group's radius.
 
     Group g has radius ``radii[g]``; points and queries are arrays of int64
-    group indices and (x, y) patches. With a (J, 2) array of ``probes`` the
-    result is (Q, J), a transposed view of probe-major counts: the count around
-    each query's patch moved by each probe offset. Without, it is 1-D, per
+    group indices and (x, y) patches. When ``probed``, the result is (Q, 8), a
+    transposed view of probe-major counts: the count around each query's patch
+    moved by each of the 8 ``OFFSET_ARRAY`` steps. Otherwise it is 1-D, per
     query.
 
-    Points and queries each come grouped, in nondecreasing group index in
-    [0, len(radii)), and every radius is finite and > 0 (``ValueError``
-    otherwise), as the callers send them. A batch (at most
+    Every radius is finite and > 0, checked here; points and queries each come
+    grouped, in nondecreasing group index in [0, len(radii)), checked per call
+    (``ValueError`` otherwise), as the callers send them. A batch (at most
     ``_GRID_CELLS // side**2`` consecutive groups of one radius) takes its
     rows as slices and stamps a reused int32 grid of at most
     ``_GRID_CELLS`` cells (4 MB; a cell counts fewer than 2**31 points),
     keyed ``((group - first) * side + x) * side + y``. With P points, Q·J
-    probed patches and k-patch disks, it stamps every point's disk and reads
-    one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
+    probed patches (J = 8 or 1) and k-patch disks, it stamps every point's disk and
+    reads one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
     once and sums each probe's disk (P + Q·J·k). Keys are built ``_CHUNK_KEYS``
     (stamps) or ``_READ_KEYS`` (reads) at a time and only stamped cells are zeroed
-    again, so memory stays bounded; counts are exact int64. It runs :func:`compile_disk_counts`
-    on the rows; a caller whose radii and probes hold compiles once, runs per call.
+    again, so memory stays bounded; counts are exact int64. Compiling builds, per
+    batch, its bounds, disk and the keys of both ways of stamping, once; a call
+    checks the rows, stamps, reads and unstamps.
     """
-    return compile_disk_counts(side, radii, probes)(point_group, point_xy, query_group, query_xy)
-
-
-def compile_disk_counts(side: int, radii, probes=None):
-    """:func:`disk_counts` compiled: checks the radii and probes and builds, per batch, its
-    bounds, disk and the keys of both ways of stamping, once. Returns ``count(point_group,
-    point_xy, query_group, query_xy)``, which checks the rows, stamps, reads and unstamps."""
-    flat = probes is None
+    probes = OFFSET_ARRAY if probed else _ORIGIN  # each step lies within +-1
     cells, half = side * side, side // 2  # shifts are signed, as from ``disk_offsets``
-    probes = _ORIGIN if flat else (np.asarray(probes, dtype=np.int64) + half) % side - half
-    if probes.ndim != 2 or probes.shape[1] != 2 or not len(probes):
-        raise ValueError(f"probes must be a (J, 2) array with J >= 1, got shape {probes.shape}")
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
     radii = np.asarray(radii, dtype=float)
     if n and not 0 < radii.min() <= radii.max() < math.inf:  # NaN fails both
@@ -122,12 +113,12 @@ def compile_disk_counts(side: int, radii, probes=None):
         raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
-    probed, origin = _keys(side, probes, _READ_KEYS), _keys(side, _ORIGIN, _CHUNK_KEYS)
+    cell, origin = _keys(side, probes, _READ_KEYS), _keys(side, _ORIGIN, _CHUNK_KEYS)
     batches = []  # per batch: first group, then (stamp, read) by disks and by patches
     for first in bounds[:-1]:
         disk = disk_offsets(side, float(radii[first]))
         summed = (probes[:, None] + disk + half).reshape(-1, 2) % side - half
-        batches.append((first, (_keys(side, disk, _CHUNK_KEYS), probed),
+        batches.append((first, (_keys(side, disk, _CHUNK_KEYS), cell),
                         (origin, _keys(side, summed, _READ_KEYS))))
 
     def count(point_group, point_xy, query_group, query_xy) -> np.ndarray:
@@ -155,7 +146,7 @@ def compile_disk_counts(side: int, radii, probes=None):
                         grid[at].reshape(len(probes), -1, at.shape[1]).sum(axis=1))
                     counts[:, qs] += got
                 grid[keys] = 0
-        return counts[0] if flat else counts.T
+        return counts.T if probed else counts[0]
 
     return count
 

@@ -155,10 +155,11 @@ def overlap_report(model_hits: Iterable[str], reference: Iterable[str]) -> Overl
 
 
 def significant_from_counts(counts: Mapping[str, int], average: float, factor: float) -> list[str]:
-    """Names whose count reaches factor * average, busiest first."""
+    """Names whose count reaches factor * average, busiest first. A count of 0
+    never stands out, even against an average of 0."""
     if not 0 < factor < math.inf:
         raise ValueError(f"factor must be a finite positive number, got {factor}")
-    hits = [(name, c) for name, c in counts.items() if c >= factor * average]
+    hits = [(name, c) for name, c in counts.items() if c > 0 and c >= factor * average]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return [name for name, _ in hits]
 

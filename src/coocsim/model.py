@@ -284,21 +284,20 @@ class _Entry(NamedTuple):
 
 
 #: (population, (target, distance)) links compiled for ``step``'s counts: per group (numbered
-#: by first appearance) its target and radius; per link, in group order, its population, group
-#: and place among the links as given; and ``count``, from ``lattice.compile_disk_counts``.
-_Links = namedtuple("_Links", "targets radii sources group order count")
+#: by first appearance) its target; per link, in group order, its population, group and
+#: place among the links as given; and ``count``, from ``lattice.compile_disk_counts``.
+_Links = namedtuple("_Links", "targets sources group order count")
 
 
-def _compile_links(links, side: int, probes=None) -> _Links | None:
+def _compile_links(links, side: int, probed: bool = False) -> _Links | None:
     if not links:
         return None
     groups: dict[tuple[int, float], int] = {}
     link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links])
     order = np.argsort(link_group, kind="stable")
     keys = np.array(list(groups), dtype=float)  # (target, radius) per group
-    return _Links(keys[:, 0].astype(np.int64), keys[:, 1],
-                  np.array([p for p, _ in links])[order], link_group[order], order,
-                  compile_disk_counts(side, keys[:, 1], probes))
+    return _Links(keys[:, 0].astype(np.int64), np.array([p for p, _ in links])[order],
+                  link_group[order], order, compile_disk_counts(side, keys[:, 1], probed))
 
 
 #: What ``step`` reads of one selection: the following populations, their
@@ -375,7 +374,7 @@ class _Layout:
         freezing = [(p, e) for p, e in selected if e.deactivates and e.target is not None]
         plan = _Plan(
             np.array(follow, dtype=np.int64),
-            _compile_links([(p, g) for p in follow for g in self.field_groups[p]], side, OFFSET_ARRAY),
+            _compile_links([(p, g) for p in follow for g in self.field_groups[p]], side, True),
             _compile_links([(p, (e.target, e.distance)) for p, e in freezing], side),
             np.array([e.cardinality + (p == e.target) for p, e in freezing], dtype=np.int64))
         self._last = key, plan

@@ -9,6 +9,8 @@ import pytest
 
 from coocsim import cli
 from coocsim.cli import _build_parser, main
+from coocsim.io import write_report_csv
+from coocsim.metrics import NeighborhoodReport
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 TEST_DATA = Path(__file__).resolve().parent / "data"
@@ -382,6 +384,20 @@ def test_analyze_high_factor_prints_nothing(capsys):
     rc = run_cli("analyze", TEST_DATA / "report_small_set_t1000.csv", "--factor", 100)
     assert rc == 0
     assert capsys.readouterr().out == ""
+
+
+def test_analyze_flags_no_zero_count_against_an_average_that_rounds_to_zero(tmp_path, capsys):
+    """One count of 1 among 25 populations averages 0.04, written as 0.0: the
+    count of 1 stands out, the 24 counts of 0 do not."""
+    counts = {"a": 1, **{f"p{k:02d}": 0 for k in range(1, 25)}}
+    report = NeighborhoodReport("t", 2.0, 0, counts, sum(counts.values()) / len(counts))
+    path = tmp_path / "report.csv"
+    with path.open("wb") as sink:
+        write_report_csv(report, sink)
+    assert path.read_text().endswith("_average,0.0\n")
+    rc = run_cli("analyze", path, "--factor", 2)
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["a 1"]
 
 
 def test_analyze_rejects_malformed_header(tmp_path, capsys):

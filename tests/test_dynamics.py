@@ -649,7 +649,7 @@ def test_run_equals_a_hand_loop_of_step_on_the_hub_and_ring():
 
 
 def test_transition_distribution_probes_match_the_oracle_on_the_hub_and_ring():
-    """One ``disk_counts`` call answers the 8 probes of an agent; each probe
+    """One compiled count answers the 8 probes of an agent; each probe
     count equals the loop oracle at that offset, and the distribution is the
     one the oracle's counts give."""
     model = hub_and_ring_model(seed=9, beta=2.0)
@@ -659,7 +659,7 @@ def test_transition_distribution_probes_match_the_oracle_on_the_hub_and_ring():
         r = state.positions[agent]
         h = np.array([oracle_potential((r[0] + dx, r[1] + dy), agent, state, model)
                       for dx, dy in OFFSET_ARRAY], dtype=np.int64)
-        assert dynamics._field(r, agent, state, model, OFFSET_ARRAY).tolist() == h.tolist()
+        assert dynamics._field(r, agent, state, model, True).tolist() == h.tolist()
         probs = transition_distribution(agent, state, model).probabilities
         assert np.array_equal(probs, bias_weights(h, h[::-1], model.params.beta))
         seen += int(h.sum())
@@ -822,21 +822,22 @@ def test_a_run_out_of_population_order_takes_the_general_path(monkeypatch):
 
 
 def _spy_linked_counts(monkeypatch):
-    """Record the links and whether probes were given of every
-    ``_linked_counts`` call that ``step`` makes."""
-    calls = []
-    linked_counts = dynamics._linked_counts
+    """Record the links as given and whether they were compiled probed, of every
+    ``_linked_counts`` call that ``step`` makes. The links are recorded when the
+    layout compiles them, keyed by the compiled object."""
+    calls, given = [], {}
+    compile_links, linked_counts = model_module._compile_links, dynamics._linked_counts
 
-    def spy(side, starts, xy, links, probes=None):
-        # The compiled links hold the links as given in group order.
-        given = [None] * len(links.order)
-        for k, at in enumerate(links.order.tolist()):
-            group = links.group[k]
-            given[at] = (int(links.sources[k]),
-                         (int(links.targets[group]), float(links.radii[group])))
-        calls.append((given, probes is not None))
-        return linked_counts(side, starts, xy, links, probes)
+    def compile_spy(links, side, probed=False):
+        compiled = compile_links(links, side, probed)
+        given[id(compiled)] = list(links), probed
+        return compiled
 
+    def spy(starts, xy, links):
+        calls.append(given[id(links)])
+        return linked_counts(starts, xy, links)
+
+    monkeypatch.setattr(model_module, "_compile_links", compile_spy)
     monkeypatch.setattr(dynamics, "_linked_counts", spy)
     return calls
 
@@ -984,19 +985,19 @@ def test_a_hub_and_ring_run_whose_selection_holds_compiles_one_plan(monkeypatch)
 def test_a_small_set_run_compiles_its_counts_only_when_the_plan_does(monkeypatch):
     """The layout compiles a plan's field count (probed) and freeze count
     (flat) once with the plan; a tick that reuses the plan compiles nothing,
-    and ``step`` never falls back to the compile-and-run ``disk_counts``."""
+    and ``step`` never compiles a count of its own."""
     compiled = []
     compile_counts = model_module.compile_disk_counts
 
-    def compile_spy(side, radii, probes=None):
-        compiled.append("field" if probes is not None else "freeze")
-        return compile_counts(side, radii, probes)
+    def compile_spy(side, radii, probed=False):
+        compiled.append("field" if probed else "freeze")
+        return compile_counts(side, radii, probed)
 
     def refuse(*args, **kwargs):
         raise AssertionError("step counted without the plan's compiled count")
 
     monkeypatch.setattr(model_module, "compile_disk_counts", compile_spy)
-    monkeypatch.setattr(dynamics, "disk_counts", refuse)
+    monkeypatch.setattr(dynamics, "compile_disk_counts", refuse)
     plans, _ = _spy_plans(monkeypatch)
     model = make_small_set_model(max_ticks=100)
     final = run(model).final_state

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from coocsim import Lattice, toroidal_distance, wrap
 from coocsim import lattice
-from coocsim.lattice import MOORE_OFFSETS, disk_counts, disk_offsets, disk_sum
+from coocsim.lattice import MOORE_OFFSETS, compile_disk_counts, disk_offsets, disk_sum
 from coocsim.lattice import OFFSET_ARRAY
 
 from reference import wrapped_dist_sq
@@ -171,7 +171,7 @@ def test_disk_counts_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys
     point_xy = rng.integers(0, side, (60, 2))
     query_group = np.sort(rng.integers(0, len(radii), 200))
     query_xy = rng.integers(0, side, (200, 2))
-    got = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
+    got = compile_disk_counts(side, radii)(point_group, point_xy, query_group, query_xy)
     assert got.dtype == np.int64
     assert got.tolist() == _brute_disk_counts(side, radii, point_group, point_xy,
                                               query_group, query_xy)
@@ -180,9 +180,9 @@ def test_disk_counts_match_pairwise_counting(monkeypatch, grid_cells, chunk_keys
 def test_disk_counts_without_points_or_queries():
     no_xy, no_group = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     one_xy, one_group = np.array([(3, 3)]), np.array([0])
-    assert disk_counts(7, [2.0], no_group, no_xy, one_group, one_xy).tolist() == [0]
-    assert disk_counts(7, [2.0], one_group, one_xy, no_group, no_xy).tolist() == []
-    assert disk_counts(7, [], no_group, no_xy, no_group, no_xy).tolist() == []
+    assert compile_disk_counts(7, [2.0])(no_group, no_xy, one_group, one_xy).tolist() == [0]
+    assert compile_disk_counts(7, [2.0])(one_group, one_xy, no_group, no_xy).tolist() == []
+    assert compile_disk_counts(7, [])(no_group, no_xy, no_group, no_xy).tolist() == []
 
 
 def _brute_probe_counts(side, radii, point_group, point_xy, query_group, query_xy, probes):
@@ -216,13 +216,13 @@ def test_disk_counts_with_probes_match_pairwise_counting(monkeypatch, grid_cells
     probed_per_group = np.bincount(query_group, minlength=len(radii)) * len(OFFSET_ARRAY)
     assert ((points_per_group > probed_per_group).all()
             or (points_per_group <= probed_per_group).all())
-    got = disk_counts(side, radii, point_group, point_xy, query_group, query_xy, OFFSET_ARRAY)
+    got = compile_disk_counts(side, radii, True)(point_group, point_xy, query_group, query_xy)
     assert got.dtype == np.int64
     assert got.shape == (n_queries, len(OFFSET_ARRAY))
     assert got.tolist() == _brute_probe_counts(side, radii, point_group, point_xy,
                                                query_group, query_xy, OFFSET_ARRAY)
     # The 1-D result is the count at the zero probe, either way round.
-    flat = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
+    flat = compile_disk_counts(side, radii)(point_group, point_xy, query_group, query_xy)
     assert flat.tolist() == _brute_disk_counts(side, radii, point_group, point_xy,
                                                query_group, query_xy)
 
@@ -250,8 +250,8 @@ def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_
     query_xy = rng.integers(0, side, (len(query_group), 2))
     assert {0, 1, 2, 4, 6} <= set(point_group) and {0, 1, 2} <= set(query_group)
     assert {5, 6} - set(query_group) == {6} and {5, 6} - set(point_group) == {5}
-    probed = disk_counts(side, radii, point_group, point_xy, query_group, query_xy, OFFSET_ARRAY)
-    flat = disk_counts(side, radii, point_group, point_xy, query_group, query_xy)
+    probed = compile_disk_counts(side, radii, True)(point_group, point_xy, query_group, query_xy)
+    flat = compile_disk_counts(side, radii)(point_group, point_xy, query_group, query_xy)
     assert probed.dtype == flat.dtype == np.int64
     assert probed.tolist() == _brute_probe_counts(side, radii, point_group, point_xy,
                                                   query_group, query_xy, OFFSET_ARRAY)
@@ -265,8 +265,8 @@ def test_disk_counts_of_many_groups_match_pairwise_counting(monkeypatch, groups_
                          ids=["one_batch", "batches_and_chunks"])
 def test_a_compiled_count_serves_many_rows_as_disk_counts_does(monkeypatch, grid_cells,
                                                                chunk_keys, read_keys):
-    """One compiled count, run on one set of rows after another, counts as
-    :func:`disk_counts` and pairwise counting do. The small budgets split the
+    """One compiled count, run on one set of rows after another, counts as a
+    count compiled for each set of rows and pairwise counting do. The small budgets split the
     groups into batches of at most two groups and the rows into chunks of a
     few keys and the reads into chunks of one query (a budget below one query's
     keys still reads a query per chunk); 600 points against 10 queries stamp
@@ -278,7 +278,7 @@ def test_a_compiled_count_serves_many_rows_as_disk_counts_does(monkeypatch, grid
     monkeypatch.setattr(lattice, "_READ_KEYS", read_keys)
     side, radii = 9, [2.0, 1.0, 1.0, 2.0, 7.0, 7.0, 1.5]   # 7 covers the whole 9 x 9 torus
     flat = lattice.compile_disk_counts(side, radii)
-    probed = lattice.compile_disk_counts(side, radii, OFFSET_ARRAY)
+    probed = lattice.compile_disk_counts(side, radii, True)
     rng = np.random.default_rng(29)
     for n_points, n_queries in [(600, 10), (20, 100), (600, 10), (0, 12), (30, 0)]:
         point_group = np.sort(rng.integers(0, len(radii), n_points))   # rows come grouped
@@ -287,34 +287,24 @@ def test_a_compiled_count_serves_many_rows_as_disk_counts_does(monkeypatch, grid
         rows = (point_group, point_xy, query_group, query_xy)
         got, got_probed = flat(*rows), probed(*rows)
         assert got.dtype == got_probed.dtype == np.int64
-        assert got.tolist() == disk_counts(side, radii, *rows).tolist() == _brute_disk_counts(
-            side, radii, *rows)
-        assert got_probed.tolist() == disk_counts(side, radii, *rows, OFFSET_ARRAY).tolist() == (
+        assert got.tolist() == compile_disk_counts(side, radii)(*rows).tolist() == (
+            _brute_disk_counts(side, radii, *rows))
+        assert got_probed.tolist() == compile_disk_counts(side, radii, True)(*rows).tolist() == (
             _brute_probe_counts(side, radii, *rows, OFFSET_ARRAY))
 
 
 def test_a_compiled_count_checks_radii_and_probes_once_and_rows_on_every_run():
-    """The radii and the probes are refused when the count compiles, before
-    any rows; rows out of group order or range are refused on each run."""
+    """The radii are refused when the count compiles, before any rows; rows
+    out of group order or range are refused on each run."""
     with pytest.raises(ValueError, match="finite and > 0"):
         lattice.compile_disk_counts(7, [2.0, float("nan")])
-    with pytest.raises(ValueError, match="probes"):
-        lattice.compile_disk_counts(7, [2.0], np.zeros((0, 2), dtype=np.int64))
-    count = lattice.compile_disk_counts(7, [1.0, 2.0], OFFSET_ARRAY)
+    count = lattice.compile_disk_counts(7, [1.0, 2.0], True)
     xy = np.array([(1, 1), (2, 2)])
     with pytest.raises(ValueError, match="nondecreasing group order"):
         count(np.array([1, 0]), xy, np.array([0, 1]), xy)
     with pytest.raises(ValueError, match="group indices"):
         count(np.array([0, 2]), xy, np.array([0, 1]), xy)
     assert count(np.array([0, 1]), xy, np.array([0, 1]), xy)[:, 0].tolist() == [0, 1]
-
-
-@pytest.mark.parametrize("probes", [np.zeros((0, 2), dtype=np.int64), np.zeros(2, dtype=np.int64),
-                                    np.zeros((3, 3), dtype=np.int64)])
-def test_disk_counts_rejects_malformed_probes(probes):
-    one_xy, one_group = np.array([(3, 3)]), np.array([0])
-    with pytest.raises(ValueError, match="probes"):
-        disk_counts(7, [2.0], one_group, one_xy, one_group, one_xy, probes)
 
 
 @pytest.mark.parametrize("ungrouped", ["points", "queries"])
@@ -324,10 +314,9 @@ def test_disk_counts_rejects_rows_out_of_group_order(ungrouped):
     grouped, xy = np.array([0, 0, 1, 1]), np.array([(1, 1), (2, 2), (3, 3), (4, 4)])
     shuffled = np.array([0, 1, 0, 1])
     point_group, query_group = (shuffled, grouped) if ungrouped == "points" else (grouped, shuffled)
-    with pytest.raises(ValueError, match="nondecreasing group order"):
-        disk_counts(7, [1.0, 2.0], point_group, xy, query_group, xy)
-    with pytest.raises(ValueError, match="nondecreasing group order"):
-        disk_counts(7, [1.0, 2.0], point_group, xy, query_group, xy, OFFSET_ARRAY)
+    for probed in (False, True):
+        with pytest.raises(ValueError, match="nondecreasing group order"):
+            compile_disk_counts(7, [1.0, 2.0], probed)(point_group, xy, query_group, xy)
 
 
 def test_disk_counts_rejects_group_indices_outside_the_radii():
@@ -336,10 +325,9 @@ def test_disk_counts_rejects_group_indices_outside_the_radii():
     xy = np.array([(1, 1), (2, 2)])
     for radii, groups in (([1.0, 2.0], [0, 5]), ([1.0], [0, 5]), ([1.0, 2.0], [-1, 0])):
         for point_group, query_group in ((groups, [0, 0]), ([0, 0], groups)):
-            with pytest.raises(ValueError, match="group indices"):
-                disk_counts(7, radii, point_group, xy, query_group, xy)
-            with pytest.raises(ValueError, match="group indices"):
-                disk_counts(7, radii, point_group, xy, query_group, xy, OFFSET_ARRAY)
+            for probed in (False, True):
+                with pytest.raises(ValueError, match="group indices"):
+                    compile_disk_counts(7, radii, probed)(point_group, xy, query_group, xy)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0, float("inf")])
@@ -348,6 +336,6 @@ def test_disk_counts_rejects_radii_that_are_not_finite_and_positive(radius):
     would count a point one patch away (radii compare squared); both are
     refused, as 0 and inf are."""
     xy, groups = np.array([(1, 1), (2, 1)]), np.array([0, 1])
-    for probes in (None, OFFSET_ARRAY):
+    for probed in (False, True):
         with pytest.raises(ValueError, match="finite and > 0"):
-            disk_counts(7, [2.0, radius], groups, xy, groups, xy, probes)
+            compile_disk_counts(7, [2.0, radius], probed)(groups, xy, groups, xy)

@@ -284,6 +284,11 @@ def test_threshold_strictness_by_hand():
     assert significant_populations(report, 2.0) == []
 
 
+def test_an_all_zero_report_flags_nothing():
+    report = NeighborhoodReport("t", 2.0, 0, {"a": 0, "b": 0, "c": 0}, 0.0)
+    assert significant_populations(report, 2.0) == []
+
+
 def test_factor_must_be_positive():
     report = NeighborhoodReport("t", 2.0, 0, {"a": 1}, 1.0)
     for factor in (0.0, -1.0, float("nan"), float("inf")):
