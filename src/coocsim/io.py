@@ -269,7 +269,8 @@ def write_report_csv(report: NeighborhoodReport, sink: BinaryIO) -> int:
 
 
 def read_report_csv(text: str) -> tuple[dict[str, int], float]:
-    """Parse a report back into counts and the stored average."""
+    """Parse a report back into counts and its average: the counts' mean when the
+    ``_average`` line is that mean as written, rounded, else the line's value."""
     lines = text.splitlines()
     if not lines or lines[0] != "population,count":
         raise ParseError(1, "expected header 'population,count'")
@@ -291,7 +292,8 @@ def read_report_csv(text: str) -> tuple[dict[str, int], float]:
             counts[name] = _typed(int, value, line_no, "count must be an integer")
     if average is None:
         raise ParseError(len(lines), "missing _average row")
-    return counts, average
+    mean = sum(counts.values()) / len(counts) if counts else 0.0
+    return counts, mean if f"{mean:.1f}" == f"{average:.1f}" else average
 
 
 #: Pixels per side of a patch's block in a snapshot, and per colour (black

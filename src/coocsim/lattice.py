@@ -77,6 +77,8 @@ def disk_offsets(side: int, radius: float) -> np.ndarray:
 _GRID_CELLS = 1 << 20
 _CHUNK_KEYS = 1 << 20
 _READ_KEYS = 1 << 16
+#: A batch with a point per ``_CROWDED`` grid cells sums its disks; that broke even at 4 to 25.
+_CROWDED = 8
 
 
 def compile_disk_counts(side: int, radii, probed: bool = False):
@@ -91,21 +93,22 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
 
     Every radius is finite and > 0, checked here; points and queries each come
     grouped, in nondecreasing group index in [0, len(radii)), checked per call
-    (``ValueError`` otherwise), as the callers send them. A batch (at most
-    ``_GRID_CELLS // side**2`` consecutive groups of one radius) takes its
-    rows as slices and stamps a reused int32 grid of at most
-    ``_GRID_CELLS`` cells (4 MB; a cell counts fewer than 2**31 points),
-    keyed ``((group - first) * side + x) * side + y``. With P points, Q·J
-    probed patches (J = 8 or 1) and k-patch disks, it stamps every point's disk and
-    reads one cell per probe (P·k + Q·J) when P <= Q·J, else stamps each point
-    once and sums each probe's disk (P + Q·J·k). Keys are built ``_CHUNK_KEYS``
-    (stamps) or ``_READ_KEYS`` (reads) at a time and only stamped cells are zeroed
-    again, so memory stays bounded; counts are exact int64. Compiling builds, per
-    batch, its bounds, disk and the keys of both ways of stamping, once; a call
-    checks the rows, stamps, reads and unstamps.
+    (``ValueError`` otherwise), as the callers send them. A batch, G <=
+    ``_GRID_CELLS // side**2`` consecutive groups of one radius, takes its rows as
+    slices; its grids are keyed ``((group - first) * side + x) * side + y``. With P
+    points, Q·J probed patches (J = 8 or 1) and k-patch disks, when P > Q·J it stamps
+    each point once on a reused int32 grid of at most ``_GRID_CELLS`` cells (4 MB; a
+    cell counts fewer than 2**31 points) and sums each probe's disk (P + Q·J·k).
+    Else, if P·``_CROWDED`` >= G·side², it bincounts the occupancy, sums every cell's
+    disk with one int32 :func:`disk_sum` of the (G, side, side) stack (G·side²·k), wrap-pads
+    the sums by 1 and reads a cell per probe (Q·J); if not, it stamps every point's
+    disk on the grid and reads a cell per probe (P·k + Q·J). Keys are built
+    ``_CHUNK_KEYS`` (points) or ``_READ_KEYS`` (reads) at a time and only stamped cells
+    are zeroed again, so memory stays bounded; counts are exact int64. Compiling
+    builds each batch's bounds, disk and keys once; a call checks its rows and counts.
     """
     probes = OFFSET_ARRAY if probed else _ORIGIN  # each step lies within +-1
-    cells, half = side * side, side // 2  # shifts are signed, as from ``disk_offsets``
+    cells, half, wide = side * side, side // 2, side + 2  # shifts are signed, as from disk_offsets
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
     radii = np.asarray(radii, dtype=float)
     if n and not 0 < radii.min() <= radii.max() < math.inf:  # NaN fails both
@@ -114,11 +117,12 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
     runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
     cell, origin = _keys(side, probes, _READ_KEYS), _keys(side, _ORIGIN, _CHUNK_KEYS)
-    batches = []  # per batch: first group, then (stamp, read) by disks and by patches
+    steps = probes[:, :1] * wide + probes[:, 1:]  # key step of each probe in the padded sums
+    batches = []  # per batch: first group, radius, then (stamp, read) by disks and by patches
     for first in bounds[:-1]:
         disk = disk_offsets(side, float(radii[first]))
         summed = (probes[:, None] + disk + half).reshape(-1, 2) % side - half
-        batches.append((first, (_keys(side, disk, _CHUNK_KEYS), cell),
+        batches.append((first, float(radii[first]), (_keys(side, disk, _CHUNK_KEYS), cell),
                         (origin, _keys(side, summed, _READ_KEYS))))
 
     def count(point_group, point_xy, query_group, query_xy) -> np.ndarray:
@@ -131,9 +135,24 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
         point_at, query_at = (np.searchsorted(r, bounds).tolist() if len(bounds) > 2 else [0, len(r)]
                               for r in (point_group, query_group))  # one batch: all rows
         grid = np.zeros(min(n, per_batch) * cells, dtype=np.int32)
-        for b, (first, *ways) in enumerate(batches):
+        for b, (first, radius, *ways) in enumerate(batches):
             (p0, p1), (q0, q1) = point_at[b:b + 2], query_at[b:b + 2]
-            (stamp, point_chunk), (read, query_chunk) = ways[p1 - p0 > (q1 - q0) * len(probes)]
+            by_patches, size = p1 - p0 > (q1 - q0) * len(probes), (bounds[b + 1] - first) * cells
+            if not by_patches and (p1 - p0) * _CROWDED >= size:
+                (at_origin, point_chunk), (_, query_chunk) = origin, cell
+                near = np.zeros(size, dtype=np.int32)  # the occupancy, then its padded disk sums
+                for lo in range(p0, p1, point_chunk):
+                    pts = slice(lo, min(lo + point_chunk, p1))
+                    keys = at_origin(point_group[pts] - first, point_xy[pts])[0]
+                    near += np.bincount(keys, minlength=size)
+                near = disk_sum(near.reshape(-1, side, side), side, radius)
+                near = np.pad(near, ((0, 0), (1, 1), (1, 1)), mode="wrap").ravel()
+                for qlo in range(q0, q1, query_chunk):
+                    qs = slice(qlo, min(qlo + query_chunk, q1))
+                    row = (query_group[qs] - first) * wide + query_xy[qs, 0] + 1
+                    counts[:, qs] = near[steps + (row * wide + query_xy[qs, 1] + 1)]
+                continue
+            (stamp, point_chunk), (read, query_chunk) = ways[by_patches]
             # Each chunk of points is stamped, read by every query and unstamped.
             for lo in range(p0, p1, point_chunk):
                 pts = slice(lo, min(lo + point_chunk, p1))
@@ -168,9 +187,11 @@ def _wrap_table(side: int, pad: int) -> np.ndarray:
 
 def _keys(side: int, shift, budget: int):
     """``keys(slot, xy)``, the (len(shift), len(xy)) grid keys of ``xy + shift`` in grid slot
-    ``slot`` from one wrap table padded by the largest shift, and the rows per chunk of
-    at most ``budget`` keys (one row at least)."""
+    ``slot`` from one wrap table padded by the largest shift (no table when it is 0), and
+    the rows per chunk of at most ``budget`` keys (one row at least)."""
     pad = int(np.abs(shift).max())
+    if not pad:  # unshifted keys need no table
+        return (lambda slot, xy: ((slot * side + xy[:, 0]) * side + xy[:, 1])[None]), budget
     width, table, cells = side + 2 * pad, _wrap_table(side, pad), side * side
     column = shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))
 
@@ -183,11 +204,12 @@ def _keys(side: int, shift, budget: int):
 
 
 def disk_sum(grid: np.ndarray, side: int, radius: float) -> np.ndarray:
-    """out[p] = sum of ``grid`` over the toroidal disk of ``radius`` at p.
-
-    The disk is symmetric, so the roll direction does not matter.
-    """
+    """out[..., p] = sum of ``grid`` over the toroidal disk of ``radius`` at p, per (side, side)
+    grid of a stack: the disk's shifted slices of the grid wrap-padded once by its largest shift."""
+    disk = disk_offsets(side, radius)
+    pad = int(np.abs(disk).max())
+    padded = np.pad(grid, [(0, 0)] * (grid.ndim - 2) + [(pad, pad)] * 2, mode="wrap")
     out = np.zeros_like(grid)
-    for dx, dy in disk_offsets(side, radius):
-        out += np.roll(grid, (dx, dy), axis=(0, 1))
+    for dx, dy in pad - disk:  # the disk is symmetric, so the shift direction does not matter
+        out += padded[..., dx:dx + side, dy:dy + side]
     return out

@@ -10,7 +10,7 @@ import pytest
 from coocsim import cli
 from coocsim.cli import _build_parser, main
 from coocsim.io import write_report_csv
-from coocsim.metrics import NeighborhoodReport
+from coocsim.metrics import NeighborhoodReport, significant_populations
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 TEST_DATA = Path(__file__).resolve().parent / "data"
@@ -398,6 +398,23 @@ def test_analyze_flags_no_zero_count_against_an_average_that_rounds_to_zero(tmp_
     rc = run_cli("analyze", path, "--factor", 2)
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == ["a 1"]
+
+
+def test_analyze_judges_counts_against_their_mean_not_the_rounded_average(tmp_path, capsys):
+    """Eleven counts averaging 28 / 11 = 2.545 are written ``_average,2.5``:
+    against the rounded line, 5 would reach twice the average; against the
+    mean it does not, so ``analyze`` prints nothing, as
+    ``significant_populations`` returns nothing."""
+    counts = dict(a=5, i=4, j=4, k=4, b=2, d=2, e=2, h=2, c=1, f=1, g=1)
+    report = NeighborhoodReport("t", 2.0, 0, counts, sum(counts.values()) / len(counts))
+    path = tmp_path / "report.csv"
+    with path.open("wb") as sink:
+        write_report_csv(report, sink)
+    assert path.read_text().endswith("_average,2.5\n")
+    assert significant_populations(report, 2.0) == []
+    rc = run_cli("analyze", path, "--factor", 2)
+    assert rc == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_rejects_malformed_header(tmp_path, capsys):

@@ -610,6 +610,24 @@ def _assert_steps_match_oracle(model, seed, ticks):
     return state
 
 
+def test_a_crowded_toy_run_sums_its_first_counts_and_matches_reference(monkeypatch):
+    """30 walkers on 15 x 15 patches are a point per 7.5 cells, so tick 0's
+    field and freeze counts each sum the walkers' disks with one
+    ``disk_sum``, and the steps still equal the loop oracle. The run builds
+    the wrap tables of pads 1 (probes), 2 (disks) and 3 (probed disks), and
+    none of pad 0: unshifted keys are computed."""
+    sums, pads = [], set()
+    disk_sum, wrap_table = lattice.disk_sum, lattice._wrap_table
+    monkeypatch.setattr(lattice, "disk_sum", lambda grid, *args: sums.append(grid.shape)
+                        or disk_sum(grid, *args))
+    monkeypatch.setattr(lattice, "_wrap_table", lambda side, pad: pads.add(pad)
+                        or wrap_table(side, pad))
+    model = make_toy_model(walkers=30, particles=120, side=15, seed=5)
+    last = _assert_steps_match_oracle(model, 5, 4)
+    assert sums[:2] == [(1, 15, 15)] * 2 and pads == {1, 2, 3}
+    assert 0 < last.active.sum() < last.n_agents
+
+
 def hub_and_ring_model(side=13, sizes=2, **kwargs):
     """The gen-matrix shape of a real network: every ring population follows
     the hub and its ring neighbours, so field groups are shared between

@@ -386,6 +386,18 @@ def test_report_csv_round_trips_through_reader():
     assert average == 2.0
 
 
+def test_report_reader_returns_the_mean_the_average_line_rounds():
+    """A report's ``_average`` line rounds the counts' mean to one place: the
+    reader returns that mean exactly. A line the counts do not average to,
+    as in a table cut from a longer report, is returned as written."""
+    sink = stdio.BytesIO()
+    write_report_csv(_report({"a": 5, "b": 1, "c": 1}, 7 / 3), sink)
+    assert sink.getvalue().decode().endswith("_average,2.3\n")
+    assert read_report_csv(sink.getvalue().decode()) == ({"a": 5, "b": 1, "c": 1}, 7 / 3)
+    assert read_report_csv("population,count\na,5\nb,1\n_average,2.0\n")[1] == 2.0
+    assert read_report_csv("population,count\n_average,0.0\n") == ({}, 0.0)
+
+
 def test_report_reader_rejects_bad_input():
     with pytest.raises(ParseError):
         read_report_csv("wrong,header\n")

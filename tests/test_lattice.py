@@ -148,6 +148,27 @@ def test_disk_sum_counts_neighbours():
     assert out[8, 8] == 1   # wraps around the corner
 
 
+def _rolled_disk_sum(grid, side, radius):
+    out = np.zeros_like(grid)
+    for dx, dy in disk_offsets(side, radius):
+        out += np.roll(grid, (dx, dy), axis=(0, 1))
+    return out
+
+
+@pytest.mark.parametrize("side", [3, 4, 9])
+def test_disk_sum_of_a_stack_sums_each_grid_as_rolls_do(side):
+    """A (G, side, side) stack sums grid by grid, each grid as the sum of
+    its rolls by every disk shift, also for radii that wrap the disk."""
+    rng = np.random.default_rng(side)
+    stack = rng.integers(0, 5, (3, side, side))
+    for radius in (0.5, 1.0, 1.5, side / 2, side - 1.0, 2.0 * side):
+        got = disk_sum(stack, side, radius)
+        assert got.dtype == stack.dtype and got.shape == stack.shape
+        for grid, summed in zip(stack, got):
+            assert np.array_equal(summed, disk_sum(grid, side, radius)), radius
+            assert np.array_equal(summed, _rolled_disk_sum(grid, side, radius)), radius
+
+
 def _brute_disk_counts(side, radii, point_group, point_xy, query_group, query_xy):
     return [
         sum(1 for g, p in zip(point_group, point_xy)
@@ -339,3 +360,39 @@ def test_disk_counts_rejects_radii_that_are_not_finite_and_positive(radius):
     for probed in (False, True):
         with pytest.raises(ValueError, match="finite and > 0"):
             compile_disk_counts(7, [2.0, radius], probed)(groups, xy, groups, xy)
+
+
+@pytest.mark.parametrize("probed", [False, True], ids=["flat", "probed"])
+@pytest.mark.parametrize("groups_per_grid,chunk_keys,read_keys", [(1, 1 << 20, 1 << 16), (3, 7, 9)],
+                         ids=["one", "three_in_chunks"])
+def test_crowded_batches_sum_their_disks_and_match_pairwise_counting(monkeypatch, probed,
+                                                                     groups_per_grid,
+                                                                     chunk_keys, read_keys):
+    """A batch with a point per 8 cells of its grids, and no more points than
+    probed patches, sums its disks with one ``disk_sum`` of its stack; any
+    other batch stamps. Groups 0-2 (radius 2) and 3-5 (radius 7, past half
+    the 9 x 9 side, so the disk is the whole torus) are crowded; group 6
+    (radius 0.5, its own patch) has a point per 81 cells and group 7 more
+    points than probed patches. The small budgets count the occupancy 7
+    points and read one query (or 9 flat ones) at a time."""
+    side = 9
+    monkeypatch.setattr(lattice, "_GRID_CELLS", groups_per_grid * side * side)
+    monkeypatch.setattr(lattice, "_CHUNK_KEYS", chunk_keys)
+    monkeypatch.setattr(lattice, "_READ_KEYS", read_keys)
+    sums = []
+    disk_sum = lattice.disk_sum
+    monkeypatch.setattr(lattice, "disk_sum", lambda grid, *args: sums.append(grid.shape)
+                        or disk_sum(grid, *args))
+    rng = np.random.default_rng(groups_per_grid)
+    radii = [2.0, 2.0, 2.0, 7.0, 7.0, 7.0, 0.5, 4.5]
+    point_group = np.repeat(np.arange(8), [20, 11, 15, 30, 12, 11, 1, 40])
+    query_group = np.repeat(np.arange(8), [30, 25, 30, 35, 40, 15, 30, 2])
+    point_xy = rng.integers(0, side, (len(point_group), 2))
+    query_xy = rng.integers(0, side, (len(query_group), 2))
+    rows = (point_group, point_xy, query_group, query_xy)
+    got = compile_disk_counts(side, radii, probed)(*rows)
+    if probed:
+        assert got.tolist() == _brute_probe_counts(side, radii, *rows, OFFSET_ARRAY)
+    else:
+        assert got.tolist() == _brute_disk_counts(side, radii, *rows)
+    assert sums == [(groups_per_grid, side, side)] * (6 // groups_per_grid)
