@@ -25,8 +25,13 @@ kernel's helpers from the outside:
 A stage the step skipped counts as 0 s. Ticks are grouped as ``tick_0``
 (every agent active), ``follow_ticks`` (tick 1 on, with a field call),
 ``walk_only_ticks`` (no field call) and ``all_ticks``; a group with no tick
-reads 0 s. Each number is the median over the repeats of the group's summed
-seconds. Prints JSON.
+reads 0 s. Each group also has ``minor_faults``, the process's minor page
+faults (``ru_minflt``) taken inside its steps: a fault costs a few
+microseconds, so the count tells fresh memory from compute. Repeats after
+the first reuse the memory the first one freed, so ``--repeats 1`` gives
+the faults of a fresh process, as perfbench runs it. Each number is the
+median over the repeats of the group's summed seconds or faults. Prints
+JSON.
 
     PYTHONPATH=src python3 scripts/stage_split.py --repeats 7
     PYTHONPATH=src python3 scripts/stage_split.py --workload star_ring --repeats 7
@@ -35,6 +40,7 @@ seconds. Prints JSON.
 import argparse
 import contextlib
 import json
+import resource
 import statistics
 import sys
 import time
@@ -86,12 +92,15 @@ def _instrument(ticks: list[dict]) -> contextlib.ExitStack:
 
     def timed_step(state, *args, **kwargs):
         marks.clear()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = now()
         out = step(state, *args, **kwargs)
         total = now() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         row = {name: marks.get(name, 0.0) for name in STAGES[:-1]}
         row["other"] = total - sum(row.values())
-        ticks.append(dict(row, tick=state.tick, total=total, walk_only="field" not in marks))
+        ticks.append(dict(row, tick=state.tick, total=total, minor_faults=faults,
+                          walk_only="field" not in marks))
         return out
 
     stack = contextlib.ExitStack()
@@ -121,7 +130,7 @@ def main(argv=None) -> None:
         out[name] = {
             stage: round(statistics.median(sum(t[stage] for t in ticks if member(t))
                                            for ticks in runs), 5)
-            for stage in STAGES + ("total",)
+            for stage in STAGES + ("total", "minor_faults")
         }
     print(json.dumps(out, indent=1))
 

@@ -99,7 +99,7 @@ def _by_population(mask: np.ndarray, pop_index: np.ndarray, n_pops: int):
     if (pops[1:] < pops[:-1]).any():
         order = np.argsort(pops, kind="stable")
         agents, pops = agents[order], pops[order]
-    return agents, np.searchsorted(pops, np.arange(n_pops + 1))
+    return agents, pops.searchsorted(np.arange(n_pops + 1))
 
 
 def _members(starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +107,8 @@ def _members(starts: np.ndarray, pops) -> tuple[np.ndarray, np.ndarray]:
     listed populations."""
     pops = np.asarray(pops, dtype=np.int64)
     lengths = starts[pops + 1] - starts[pops]
-    slot = np.repeat(np.arange(len(pops)), lengths)
-    first = np.repeat(starts[pops] + lengths - np.cumsum(lengths), lengths)
+    slot = np.arange(len(pops)).repeat(lengths)
+    first = (starts[pops] + lengths - lengths.cumsum()).repeat(lengths)
     return slot, first + np.arange(len(slot))
 
 
@@ -119,8 +119,7 @@ def _linked_counts(starts, xy, links):
     ``xy`` holds one position per row, rows in population order."""
     point_group, points = _members(starts, links.targets)
     slot, probed = _members(starts, links.sources)
-    counts = links.count(point_group, np.take(xy, points, axis=0),
-                         links.group[slot], np.take(xy, probed, axis=0))
+    counts = links.count(point_group, xy.take(points, 0), links.group[slot], xy.take(probed, 0))
     return links.order[slot], probed, counts
 
 
@@ -191,22 +190,23 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
     active = state.active
 
     # Per-tick work arrays have one row per active agent, in population order.
-    n, first = int(np.count_nonzero(active)), int(np.argmax(active))
-    last = first + n if active[first:first + n].all() else len(active) - int(np.argmax(active[::-1]))
+    n, first = int(np.count_nonzero(active)), int(active.argmax())
+    last = first + n if active[first:first + n].all() else len(active) - int(active[::-1].argmax())
     u = agent_uniforms(rng_root, state.tick, last - first, first)
     pops = pop_index[first:last]
     run_path = last - first == n and not (pops[1:] < pops[:-1]).any()
     if run_path:  # the active ids are the run [first, last) in population order
         agents, xy = slice(first, last), pos[first:last]
-        starts = np.searchsorted(pops, np.arange(n_pops + 1))
+        starts = pops.searchsorted(np.arange(n_pops + 1))
     else:
         agents, starts = _by_population(active, pop_index, n_pops)
-        u, xy = np.take(u, agents - first), np.take(pos, agents, 0)
+        u, xy = u.take(agents - first), pos.take(agents, 0)
     counts = np.diff(starts)
 
     plan = layout.plan(counts)  # the selection's links, compiled once while it holds
     # Every row gets the walk draw; the rows of followers are overwritten.
-    move_idx = np.minimum((u * 8.0).astype(np.int64), 7)
+    # u < 1, so u * 8 < 8 exactly: scaling by a power of two rounds nothing.
+    move_idx = (u * 8.0).astype(np.int64)
 
     # Interaction field at the 8 probes of every following agent: the sum,
     # over its population's field groups, of the tick-t active agents of the
@@ -229,24 +229,27 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
             move_idx[rows] = _sample_rows(probs, u[rows])
         del h  # before the freeze count's keys
 
-    new_pos = pos.copy()
-    moved = np.take(layout.ring, xy + np.take(layout.moves, move_idx, 0))
-    if run_path:
-        new_pos[agents] = moved
+    moved = xy + layout.moves.take(move_idx, 0)  # unwrapped until the ring lookup
+    if run_path:  # the moved rows are written once, into the successor; only the rest is copied
+        new_pos = np.empty_like(pos)
+        new_pos[:first], new_pos[last:] = pos[:first], pos[last:]
+        moved = layout.ring.take(moved, out=new_pos[first:last])
     else:  # two 1-D column scatters cost about half of one 2-D row scatter
+        new_pos, moved = pos.copy(), layout.ring.take(moved)
         new_pos[agents, 0], new_pos[agents, 1] = moved.T
 
     # Deactivation: thresholds are checked against the post-move positions
     # of targets but their tick-t activity flags, so simultaneous freezes do
     # not shadow one another.
-    new_active = active.copy()
+    new_active = active  # read-only, so a tick with no freeze count hands it on
     if plan.freeze is not None:
         slot, probed, near = _linked_counts(starts, moved, plan.freeze)
         rows = probed[near >= plan.threshold[slot]]
+        new_active = active.copy()
         new_active[first + rows if run_path else agents[rows]] = False
+        new_active.setflags(write=False)
 
     new_pos.setflags(write=False)
-    new_active.setflags(write=False)
     return state._next(new_pos, new_active)  # wrapped by ``layout.ring``, so unchecked
 
 

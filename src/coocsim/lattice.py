@@ -117,7 +117,7 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
     runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
     cell, origin = _keys(side, probes, _READ_KEYS), _keys(side, _ORIGIN, _CHUNK_KEYS)
-    steps = probes[:, :1] * wide + probes[:, 1:]  # key step of each probe in the padded sums
+    steps = (probes[:, 0] * wide + probes[:, 1]).tolist()  # each probe's key step in the padded sums
     batches = []  # per batch: first group, radius, then (stamp, read) by disks and by patches
     for first in bounds[:-1]:
         disk = disk_offsets(side, float(radii[first]))
@@ -150,7 +150,9 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
                 for qlo in range(q0, q1, query_chunk):
                     qs = slice(qlo, min(qlo + query_chunk, q1))
                     row = (query_group[qs] - first) * wide + query_xy[qs, 0] + 1
-                    counts[:, qs] = near[steps + (row * wide + query_xy[qs, 1] + 1)]
+                    base = row * wide + query_xy[qs, 1] + 1
+                    for j, step in enumerate(steps):  # one probe at a time: no (J, chunk) keys
+                        counts[j, qs] = near.take(base + step)
                 continue
             (stamp, point_chunk), (read, query_chunk) = ways[by_patches]
             # Each chunk of points is stamped, read by every query and unstamped.
@@ -196,7 +198,7 @@ def _keys(side: int, shift, budget: int):
     column = shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))
 
     def keys(slot, xy) -> np.ndarray:
-        out = np.take(table, column + (xy[:, 0] * width + xy[:, 1]))
+        out = table.take(column + (xy[:, 0] * width + xy[:, 1]))
         out += slot * cells
         return out
 
@@ -205,7 +207,7 @@ def _keys(side: int, shift, budget: int):
 
 def disk_sum(grid: np.ndarray, side: int, radius: float) -> np.ndarray:
     """out[..., p] = sum of ``grid`` over the toroidal disk of ``radius`` at p, per (side, side)
-    grid of a stack: the disk's shifted slices of the grid wrap-padded once by its largest shift."""
+    grid of a stack, an or if boolean: the disk's shifted slices, wrap-padded by its widest shift."""
     disk = disk_offsets(side, radius)
     pad = int(np.abs(disk).max())
     padded = np.pad(grid, [(0, 0)] * (grid.ndim - 2) + [(pad, pad)] * 2, mode="wrap")

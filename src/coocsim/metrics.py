@@ -68,9 +68,10 @@ def neighborhood_counts(state: WorldState, target: str, d: float) -> Neighborhoo
         raise ValueError(f"target population {target!r} not present") from None
     side = state.side
     patch = state.positions[:, 0] * side + state.positions[:, 1]
-    occ = np.bincount(patch[state.population_index == target_ix], minlength=side * side)
-    covered = disk_sum(occ.reshape(side, side), side, d) > 0
-    at_agent = np.take(covered, patch)
+    marked = np.zeros(side * side, dtype=bool)  # patches of the target's agents
+    marked[patch[state.population_index == target_ix]] = True
+    covered = disk_sum(marked.reshape(side, side), side, d)  # a boolean sum is an or
+    at_agent = covered.take(patch)
     per_pop = np.bincount(state.population_index[at_agent], minlength=len(names))
     counts = {name: int(per_pop[i]) for i, name in enumerate(names) if i != target_ix}
     average = sum(counts.values()) / len(counts) if counts else 0.0

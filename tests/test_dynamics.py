@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -866,6 +868,40 @@ def test_a_walk_only_tick_counts_no_field_and_no_freeze(monkeypatch):
     state = step(initialize(model, 2), model, 2)
     assert calls == []
     assert state.active.all()
+
+
+def test_a_walk_draw_of_eight_times_u_truncates_as_exact_arithmetic_does():
+    """``step`` takes a walk move as ``(u * 8.0).astype(np.int64)`` with no clamp
+    to 7: u < 1, and scaling by a power of two rounds nothing, so the largest
+    draw below 1 gives 7, and each k / 8 and the doubles either side of it
+    give floor(8 u)."""
+    assert (np.nextafter(1.0, 0.0) * 8.0).astype(np.int64) == 7
+    edges = np.arange(9) / 8.0
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = (u * 8.0).astype(np.int64)
+    assert got.tolist() == [math.floor(Fraction(x) * 8) for x in u.tolist()]
+
+
+def test_a_walk_only_tick_hands_on_its_active_array():
+    """With no freeze count the successor keeps the predecessor's read-only
+    ``active``, values and all."""
+    model = make_walk_model(n_agents=50, side=11, seed=2)
+    state = initialize(model, 2)
+    after = step(state, model, 2)
+    assert after.active is state.active and not after.active.flags.writeable
+    assert after.active.all()
+
+
+def test_a_freezing_tick_leaves_its_predecessors_active_unchanged():
+    """A tick that freezes agents writes a new read-only ``active``; the state
+    it stepped from still reads as before."""
+    model = make_toy_model(walkers=10, particles=14, side=7, seed=2)
+    state = initialize(model, 2)
+    before = state.active.copy()
+    after = step(state, model, 2)
+    assert np.array_equal(state.active, before) and not state.active.flags.writeable
+    assert not after.active.flags.writeable and 0 < (before & ~after.active).sum()
 
 
 def test_a_follow_tick_without_a_freezing_entry_counts_only_the_field(monkeypatch):

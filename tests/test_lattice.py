@@ -169,6 +169,21 @@ def test_disk_sum_of_a_stack_sums_each_grid_as_rolls_do(side):
             assert np.array_equal(summed, _rolled_disk_sum(grid, side, radius)), radius
 
 
+@pytest.mark.parametrize("side", [3, 4, 9])
+def test_disk_sum_of_a_boolean_grid_or_stack_marks_the_covered_cells(side):
+    """A boolean grid or (3, side, side) stack sums with numpy's boolean add,
+    an or, so its disk sum is the integer grid's disk sum tested for > 0; the
+    neighbourhood report relies on it."""
+    rng = np.random.default_rng(side)
+    stack = rng.integers(0, 2, (3, side, side)) * rng.integers(0, 2, (3, side, side))
+    for radius in (0.5, 1.0, 1.5, side / 2, side - 1.0, 2.0 * side):
+        want = disk_sum(stack, side, radius) > 0
+        got = disk_sum(stack.astype(bool), side, radius)
+        assert got.dtype == bool and np.array_equal(got, want), radius
+        for grid, covered in zip(stack, want):
+            assert np.array_equal(disk_sum(grid.astype(bool), side, radius), covered), radius
+
+
 def _brute_disk_counts(side, radii, point_group, point_xy, query_group, query_xy):
     return [
         sum(1 for g, p in zip(point_group, point_xy)

@@ -38,13 +38,15 @@ def _split(stage_split, capsys, workload):
     meta = json.loads((stage_split.bench.WORK / workload / "out" / "run_meta.json").read_text())
     assert out["workload"] == workload and out["seed"] == 1
     assert out["program_seed"] == meta["seed"]
-    stages = set(stage_split.STAGES) | {"total"}
+    stages = set(stage_split.STAGES) | {"total", "minor_faults"}
     for group in stage_split.GROUPS:
         assert set(out[group]) == stages, group
+        assert out[group]["minor_faults"] >= 0, group
         if group != "walk_only_ticks" or out["walk_only_tick_count"]:
             assert out[group]["uniforms"] > 0, group
     assert out["walk_only_ticks"]["field"] == out["walk_only_ticks"]["deactivation"] == 0
     assert out["tick_0"]["field"] > 0
+    assert out["all_ticks"]["minor_faults"] >= out["tick_0"]["minor_faults"]
     return out, meta
 
 
