@@ -18,7 +18,9 @@ at least nine tenths of the pairs and its median ``wall_s`` is below the
 parent's by more than the parent's interquartile range. ``regressed``, per
 metric: the change's median is worse than the parent's by more than the
 relative ``bound`` that ``BENCHMARK.json`` sets for that metric, in the
-direction of its ``better``.
+direction of its ``better``. A single seed, such as a held-out one
+(``--seeds 4099``), gives one pair: its medians are that pair's values, and
+the quartiles and ``claim_met`` are left out.
 
 The two checkouts must resolve to paths of equal length. Identical code run
 from checkouts whose paths differ in length took different numbers of minor
@@ -59,7 +61,8 @@ def summarize(runs: dict[int, dict[str, dict[str, float]]]) -> dict:
     """From ``{seed: {"parent": {metric: value}, "change": {metric: value}}}``:
     the change's wins on ``wall_s`` (a lower value wins), per metric each
     side's median and quartiles rounded to 4 decimals, ``claim_met``, and
-    ``regressed`` for each end-to-end metric of ``BENCHMARK.json``."""
+    ``regressed`` for each end-to-end metric of ``BENCHMARK.json``. One pair
+    has no quartiles, so it gets neither them nor ``claim_met``."""
     bounds = end_to_end_metrics()
     out: dict = {"runs": {str(seed): pair for seed, pair in runs.items()},
                  "change_wins": sum(pair["change"]["wall_s"] < pair["parent"]["wall_s"]
@@ -71,17 +74,19 @@ def summarize(runs: dict[int, dict[str, dict[str, float]]]) -> dict:
             values = [pair[side][metric] for pair in runs.values()]
             medians[metric, side] = statistics.median(values)
             out[metric][f"{side}_median"] = round(medians[metric, side], 4)
-            out[metric][f"{side}_quartiles"] = [
-                round(q, 4) for q in statistics.quantiles(values, n=4)[::2]]
+            if len(values) > 1:
+                out[metric][f"{side}_quartiles"] = [
+                    round(q, 4) for q in statistics.quantiles(values, n=4)[::2]]
         if metric in bounds:
             parent, change = medians[metric, "parent"], medians[metric, "change"]
             worse = (change - parent) / parent
             if bounds[metric]["better"] == "higher":
                 worse = -worse
             regressed[metric] = worse > bounds[metric]["bound"]
-    q1, _, q3 = statistics.quantiles([pair["parent"]["wall_s"] for pair in runs.values()], n=4)
-    out["claim_met"] = (10 * out["change_wins"] >= 9 * len(runs)
-                        and medians["wall_s", "parent"] - medians["wall_s", "change"] > q3 - q1)
+    if len(runs) > 1:
+        q1, _, q3 = statistics.quantiles([pair["parent"]["wall_s"] for pair in runs.values()], n=4)
+        out["claim_met"] = (10 * out["change_wins"] >= 9 * len(runs)
+                            and medians["wall_s", "parent"] - medians["wall_s", "change"] > q3 - q1)
     out["regressed"] = regressed
     return out
 
@@ -109,9 +114,6 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seconds", type=float, default=35)
     args = ap.parse_args(argv)
     seeds = list(dict.fromkeys(parse_seeds(args.seeds)))
-    if len(seeds) < 2:  # the quartiles of one pair do not exist
-        raise SystemExit(f"error: --seeds {args.seeds!r} names {len(seeds)} distinct seed(s); "
-                         "the quartiles need at least two")
     paths = [str(checkout.resolve()) for checkout in (args.parent, args.change)]
     if len(paths[0]) != len(paths[1]):  # see the module docstring
         raise SystemExit(f"error: checkout paths {paths[0]!r} and {paths[1]!r} differ in "

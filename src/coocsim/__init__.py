@@ -8,7 +8,7 @@ then show which populations pack around a chosen target.
 
 __version__ = "0.1.0"
 
-from .lattice import Lattice, toroidal_distance, wrap
+from .lattice import Lattice, wrap
 from .model import (
     DEFAULT_SEED,
     Diagnostic,
@@ -39,7 +39,6 @@ from .metrics import (
     NeighborhoodReport,
     OverlapReport,
     crowding_indices,
-    equidistribution_check,
     estimate_drift_diffusion,
     neighborhood_counts,
     overlap_report,
@@ -60,14 +59,14 @@ from .io import (
 
 __all__ = [
     "__version__",
-    "Lattice", "toroidal_distance", "wrap",
+    "Lattice", "wrap",
     "DEFAULT_SEED", "Diagnostic", "InteractionMatrixEntry", "InteractionRule",
     "Model", "PopulationSpec", "SimParams", "build_model", "initialize", "validate",
     "WorldState", "agent_uniforms",
     "ConfigurationFault", "RunResult", "TransitionDistribution", "bias_weights",
     "potential_at", "run", "select_rule", "step", "transition_distribution",
     "CrowdingIndices", "DriftDiffusionEstimate", "NeighborhoodReport", "OverlapReport",
-    "crowding_indices", "equidistribution_check", "estimate_drift_diffusion",
+    "crowding_indices", "estimate_drift_diffusion",
     "neighborhood_counts", "overlap_report", "significant_populations",
     "EdgeList", "ParseError", "RelationModel", "build_relation_model",
     "parse_edge_list", "parse_matrix", "parse_rules", "read_report_csv",

@@ -87,9 +87,6 @@ class TransitionDistribution:
             raise ValueError("transition probabilities must sum to 1")
         object.__setattr__(self, "probabilities", probs)
 
-    def sample(self, u: float) -> int:
-        return int(_sample_rows(self.probabilities[None, :], np.array([u]))[0])
-
 
 def _by_population(mask: np.ndarray, pop_index: np.ndarray, n_pops: int):
     """Masked agent ids in population order, and each population's start.

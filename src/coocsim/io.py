@@ -167,15 +167,6 @@ class EdgeList:
             seen.add(b)
         return tuple(sorted(seen))
 
-    def neighbors(self, name: str) -> set[str]:
-        out = set()
-        for a, b in self.edges:
-            if a == name:
-                out.add(b)
-            elif b == name:
-                out.add(a)
-        return out
-
 
 def parse_edge_list(text: str) -> EdgeList:
     edges: list[tuple[str, str]] = []
@@ -230,7 +221,7 @@ def build_relation_model(
     names = set(edges.names)
     if target not in names:
         raise ValueError(f"target {target!r} not present in the edge list")
-    first_hop = edges.neighbors(target)
+    first_hop = {b if a == target else a for a, b in edges.edges if target in (a, b)}
     kept = {target} | first_hop
     if kind == "restricted":
         kept_edges = [e for e in edges.edges if target in e]

@@ -1,4 +1,4 @@
-"""Toroidal square-lattice geometry: Moore offsets, wrapping, distances, disk counts."""
+"""Toroidal square-lattice geometry: Moore offsets, wrapping, disks and disk counts."""
 
 from __future__ import annotations
 
@@ -47,12 +47,6 @@ def wrap(pos, lattice: Lattice) -> tuple[int, int]:
     """Reduce an integer coordinate pair into [0, side) on both axes."""
     x, y = pos
     return int(x) % lattice.side, int(y) % lattice.side
-
-
-def toroidal_distance(a, b, lattice: Lattice) -> float:
-    """Euclidean distance between two patches: per axis, the shorter way round."""
-    dx, dy = (abs(int(p) - int(q)) % lattice.side for p, q in zip(a, b))
-    return math.hypot(min(dx, lattice.side - dx), min(dy, lattice.side - dy))
 
 
 @lru_cache(maxsize=None)
@@ -105,10 +99,11 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
     disk on the grid and reads a cell per probe (P·k + Q·J). Keys are built
     ``_CHUNK_KEYS`` (points) or ``_READ_KEYS`` (reads) at a time and only stamped cells
     are zeroed again, so memory stays bounded; counts are exact int64. Compiling
-    builds each batch's bounds, disk and keys once; a call checks its rows and counts.
+    builds each batch's bounds, disk and keys once, all keyed through one wrap table
+    padded by the widest disk shift plus one; a call checks its rows and counts.
     """
     probes = OFFSET_ARRAY if probed else _ORIGIN  # each step lies within +-1
-    cells, half, wide = side * side, side // 2, side + 2  # shifts are signed, as from disk_offsets
+    cells, wide = side * side, side + 2
     n, per_batch = len(radii), max(1, _GRID_CELLS // cells)  # groups one grid holds
     radii = np.asarray(radii, dtype=float)
     if n and not 0 < radii.min() <= radii.max() < math.inf:  # NaN fails both
@@ -116,14 +111,15 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
         raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     runs = [0, *(np.flatnonzero(radii[1:] != radii[:-1]) + 1).tolist(), n]
     bounds = [g for lo, hi in zip(runs, runs[1:]) for g in range(lo, hi, per_batch)] + [n]
-    cell, origin = _keys(side, probes, _READ_KEYS), _keys(side, _ORIGIN, _CHUNK_KEYS)
+    disks = [disk_offsets(side, float(radii[first])) for first in bounds[:-1]]
+    pad = 1 + max((int(np.abs(disk).max()) for disk in disks), default=0)  # fits probe + disk
+    cell, origin = _keys(side, pad, probes, _READ_KEYS), _keys(side, pad, _ORIGIN, _CHUNK_KEYS)
     steps = (probes[:, 0] * wide + probes[:, 1]).tolist()  # each probe's key step in the padded sums
     batches = []  # per batch: first group, radius, then (stamp, read) by disks and by patches
-    for first in bounds[:-1]:
-        disk = disk_offsets(side, float(radii[first]))
-        summed = (probes[:, None] + disk + half).reshape(-1, 2) % side - half
-        batches.append((first, float(radii[first]), (_keys(side, disk, _CHUNK_KEYS), cell),
-                        (origin, _keys(side, summed, _READ_KEYS))))
+    for first, disk in zip(bounds[:-1], disks):
+        summed = (probes[:, None] + disk).reshape(-1, 2)
+        batches.append((first, float(radii[first]), (_keys(side, pad, disk, _CHUNK_KEYS), cell),
+                        (origin, _keys(side, pad, summed, _READ_KEYS))))
 
     def count(point_group, point_xy, query_group, query_xy) -> np.ndarray:
         counts = np.zeros((len(probes), len(query_group)), dtype=np.int64)  # probe-major
@@ -187,12 +183,11 @@ def _wrap_table(side: int, pad: int) -> np.ndarray:
     return table
 
 
-def _keys(side: int, shift, budget: int):
+def _keys(side: int, pad: int, shift, budget: int):
     """``keys(slot, xy)``, the (len(shift), len(xy)) grid keys of ``xy + shift`` in grid slot
-    ``slot`` from one wrap table padded by the largest shift (no table when it is 0), and
-    the rows per chunk of at most ``budget`` keys (one row at least)."""
-    pad = int(np.abs(shift).max())
-    if not pad:  # unshifted keys need no table
+    ``slot`` from the wrap table padded by ``pad``, at least the largest shift (no table when
+    that is 0), and the rows per chunk of at most ``budget`` keys (one row at least)."""
+    if not shift.any():  # unshifted keys need no table
         return (lambda slot, xy: ((slot * side + xy[:, 0]) * side + xy[:, 1])[None]), budget
     width, table, cells = side + 2 * pad, _wrap_table(side, pad), side * side
     column = shift[:, :1] * width + (shift[:, 1:] + pad * (width + 1))

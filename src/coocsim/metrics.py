@@ -84,15 +84,6 @@ def neighborhood_counts(state: WorldState, target: str, d: float) -> Neighborhoo
     )
 
 
-def equidistribution_check(state: WorldState, d: float) -> dict[str, bool]:
-    """True per population iff every other population has an agent within d."""
-    out = {}
-    for name in state.population_names:
-        report = neighborhood_counts(state, name, d)
-        out[name] = all(c > 0 for c in report.counts.values())
-    return out
-
-
 @dataclass(frozen=True)
 class DriftDiffusionEstimate:
     """First and second displacement moments of recorded trajectories."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -11,13 +10,6 @@ import numpy as np
 # disjoint for a given root seed.
 _PLACEMENT_STREAM = 0
 _TICK_STREAM = 1
-
-
-class AgentView(NamedTuple):
-    agent_id: int
-    population: str
-    position: tuple[int, int]
-    active: bool
 
 
 def _owned(arr, dtype) -> np.ndarray:
@@ -79,15 +71,6 @@ class WorldState:
     @property
     def n_agents(self) -> int:
         return int(self.population_index.shape[0])
-
-    def agents(self) -> Iterator[AgentView]:
-        for i in range(self.n_agents):
-            yield AgentView(
-                i,
-                self.population_names[int(self.population_index[i])],
-                (int(self.positions[i, 0]), int(self.positions[i, 1])),
-                bool(self.active[i]),
-            )
 
 
 def placement_generator(seed: int) -> np.random.Generator:

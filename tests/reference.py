@@ -82,35 +82,35 @@ def _follow_entries(model, pop_name):
 def oracle_neighborhood_counts(state, target, d):
     """Literal definition: an agent counts when some target agent is near."""
     side = state.side
-    target_rows = [a for a in state.agents() if a.population == target]
+    populations = [state.population_names[p] for p in state.population_index]
+    target_rows = [state.positions[i] for i, pop in enumerate(populations) if pop == target]
     counts = {}
     for name in state.population_names:
         if name == target:
             continue
         counts[name] = 0
-    for agent in state.agents():
-        if agent.population == target:
+    for i, population in enumerate(populations):
+        if population == target:
             continue
-        if any(wrapped_dist_sq(agent.position, t.position, side) <= d * d
+        if any(wrapped_dist_sq(state.positions[i], t, side) <= d * d
                for t in target_rows):
-            counts[agent.population] += 1
+            counts[population] += 1
     average = sum(counts.values()) / len(counts) if counts else 0.0
     return counts, average
 
 
 def oracle_potential(candidate, agent_id, state, model):
     """Count agents linked by any follow-path entry in range of candidate."""
-    side = state.side
-    me = list(state.agents())[agent_id]
-    entries = _follow_entries(model, me.population)
+    side, names, index = state.side, state.population_names, state.population_index
+    entries = _follow_entries(model, names[index[agent_id]])
     total = 0
-    for other in state.agents():
-        if other.agent_id == agent_id or not other.active:
+    for other in range(state.n_agents):
+        if other == agent_id or not state.active[other]:
             continue
         for entry in entries:
-            if entry.target_family != other.population:
+            if entry.target_family != names[index[other]]:
                 continue
-            if wrapped_dist_sq(candidate, other.position, side) <= entry.distance ** 2:
+            if wrapped_dist_sq(candidate, state.positions[other], side) <= entry.distance ** 2:
                 total += 1
                 break
     return total
@@ -124,9 +124,10 @@ def oracle_select(pop_name, state, model):
         if e.source_family == pop_name
     ]
     active_counts = {}
-    for agent in state.agents():
-        if agent.active:
-            active_counts[agent.population] = active_counts.get(agent.population, 0) + 1
+    for i in range(state.n_agents):
+        if state.active[i]:
+            name = state.population_names[state.population_index[i]]
+            active_counts[name] = active_counts.get(name, 0) + 1
     for _, _, entry in sorted(candidates, key=lambda t: (t[0], t[1])):
         movement = rules[entry.interaction_name].movement_action
         if movement != FOLLOW_PATH:
@@ -145,24 +146,25 @@ def oracle_step(state, model, seed, order=None):
     rules = {r.name: r for r in model.rules}
     n = state.n_agents
     u = agent_uniforms(seed, state.tick, n)
-    agents = list(state.agents())
-    new_pos = [a.position for a in agents]
+    populations = [state.population_names[p] for p in state.population_index]
+    positions = [(int(x), int(y)) for x, y in state.positions]
+    active = state.active.tolist()
+    new_pos = list(positions)
     selected = {}
     for name in state.population_names:
-        if any(a.active and a.population == name for a in agents):
+        if any(act and pop == name for act, pop in zip(active, populations)):
             selected[name] = oracle_select(name, state, model)
 
     for i in (order if order is not None else range(n)):
-        me = agents[i]
-        if not me.active:
+        if not active[i]:
             continue
-        entry = selected[me.population]
+        entry = selected[populations[i]]
         movement = rules[entry.interaction_name].movement_action
         if movement != FOLLOW_PATH:
             k = min(int(u[i] * 8.0), 7)
         else:
             h = np.array(
-                [oracle_potential(((me.position[0] + dx), (me.position[1] + dy)), i, state, model)
+                [oracle_potential(((positions[i][0] + dx), (positions[i][1] + dy)), i, state, model)
                  for dx, dy in OFFSETS],
                 dtype=np.int64,
             )
@@ -170,19 +172,19 @@ def oracle_step(state, model, seed, order=None):
             cum = np.cumsum(probs)
             k = min(int((cum < u[i]).sum()), 7)
         dx, dy = OFFSETS[k]
-        new_pos[i] = ((me.position[0] + dx) % side, (me.position[1] + dy) % side)
+        new_pos[i] = ((positions[i][0] + dx) % side, (positions[i][1] + dy) % side)
 
-    new_active = [a.active for a in agents]
-    for i, me in enumerate(agents):
-        if not me.active:
+    new_active = list(active)
+    for i in range(n):
+        if not active[i]:
             continue
-        entry = selected[me.population]
+        entry = selected[populations[i]]
         rule = rules[entry.interaction_name]
         if rule.deactivation_action != DEACTIVATE_SOURCE or entry.target_family is None:
             continue
         near = 0
-        for j, other in enumerate(agents):
-            if j == i or not other.active or other.population != entry.target_family:
+        for j in range(n):
+            if j == i or not active[j] or populations[j] != entry.target_family:
                 continue
             if wrapped_dist_sq(new_pos[i], new_pos[j], side) <= entry.distance ** 2:
                 near += 1

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -99,15 +100,26 @@ def test_seed_lists():
     assert ab_pairs.parse_seeds("3-4,9") == [3, 4, 9]
 
 
-def test_fewer_than_two_distinct_seeds_are_refused_before_any_run(monkeypatch, capsys):
-    """One pair has no quartiles: the script stops with one error line
-    before it runs a benchmark."""
-    monkeypatch.setattr(ab_pairs, "bench_metrics", lambda *args: pytest.fail("a run started"))
-    for seeds in ("1", "3,3", "5-5"):
-        with pytest.raises(SystemExit) as stopped:
-            ab_pairs.main(["parent", "change", "--workload", "small_set", "--seeds", seeds])
-        message = str(stopped.value.code)
-        assert message.startswith("error: --seeds") and "\n" not in message
+def test_a_single_seed_prints_its_pair_without_quartiles_or_claim(monkeypatch, capsys, tmp_path):
+    """A held-out seed runs one pair: each metric's medians are that pair's
+    values, and the quartiles and ``claim_met``, which one pair cannot give,
+    are left out; ``regressed`` still judges the medians."""
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    values = {"parent": {"wall_s": 0.2, "peak_rss_mb": 50.0},
+              "change": {"wall_s": 0.19, "peak_rss_mb": 60.0}}
+    for seeds in ("4099", "3,3", "5-5"):
+        ran = []
+        monkeypatch.setattr(ab_pairs, "bench_metrics", lambda checkout, workload, seed, seconds:
+                            ran.append(seed) or values[checkout.name])
+        ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "small_set", "--seeds", seeds])
+        out = json.loads(capsys.readouterr().out)
+        assert len(ran) == 2 and len(set(ran)) == 1
+        assert out["change_wins"] == 1 and "claim_met" not in out
+        assert out["wall_s"] == {"parent_median": 0.2, "change_median": 0.19}
+        assert out["peak_rss_mb"] == {"parent_median": 50.0, "change_median": 60.0}
+        assert out["regressed"] == {"wall_s": False, "peak_rss_mb": True}
 
 
 def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(

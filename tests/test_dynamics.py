@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -615,9 +616,9 @@ def _assert_steps_match_oracle(model, seed, ticks):
 def test_a_crowded_toy_run_sums_its_first_counts_and_matches_reference(monkeypatch):
     """30 walkers on 15 x 15 patches are a point per 7.5 cells, so tick 0's
     field and freeze counts each sum the walkers' disks with one
-    ``disk_sum``, and the steps still equal the loop oracle. The run builds
-    the wrap tables of pads 1 (probes), 2 (disks) and 3 (probed disks), and
-    none of pad 0: unshifted keys are computed."""
+    ``disk_sum``, and the steps still equal the loop oracle. Both counts
+    have radius 2, so the run builds one wrap table, padded by 2 + 1 for its
+    probed disks, and none of pad 0: unshifted keys are computed."""
     sums, pads = [], set()
     disk_sum, wrap_table = lattice.disk_sum, lattice._wrap_table
     monkeypatch.setattr(lattice, "disk_sum", lambda grid, *args: sums.append(grid.shape)
@@ -626,7 +627,7 @@ def test_a_crowded_toy_run_sums_its_first_counts_and_matches_reference(monkeypat
                         or wrap_table(side, pad))
     model = make_toy_model(walkers=30, particles=120, side=15, seed=5)
     last = _assert_steps_match_oracle(model, 5, 4)
-    assert sums[:2] == [(1, 15, 15)] * 2 and pads == {1, 2, 3}
+    assert sums[:2] == [(1, 15, 15)] * 2 and pads == {3}
     assert 0 < last.active.sum() < last.n_agents
 
 
@@ -1133,6 +1134,23 @@ def test_step_commutes_with_translation(world, seed, data):
 
 @settings(max_examples=80, deadline=None)
 @given(small_worlds(), st.integers(0, 2**32 - 1))
+def test_step_matches_the_oracle_with_tiny_grids_and_chunks(world, seed):
+    """A grid of 2 * 9 cells and chunks of 5 stamped and 3 read keys put at
+    most two groups in a grid and split every stamp and read, so 3 ticks of
+    ``step`` cross every way of the count and every batch and chunk boundary,
+    and disks of radius 20 cover the whole torus through the one wrap table;
+    each tick equals the loop oracle."""
+    model, state = world
+    with mock.patch.multiple(lattice, _GRID_CELLS=18, _CHUNK_KEYS=5, _READ_KEYS=3):
+        for tick in range(3):
+            fast, slow = step(state, model, seed), oracle_step(state, model, seed)
+            assert (fast.positions == slow.positions).all(), f"tick {tick}"
+            assert (fast.active == slow.active).all(), f"tick {tick}"
+            state = fast
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_worlds(), st.integers(0, 2**32 - 1))
 def test_step_conserves_populations_and_only_freezes(world, seed):
     model, state = world
     sizes = np.bincount(state.population_index, minlength=len(model.population_names))
@@ -1299,7 +1317,8 @@ def test_step_samples_exactly_the_published_distribution():
         delta = tuple((((after.positions[i] - state.positions[i]) + 6) % 13) - 6)
         took = offsets[delta]
         if state.population_index[i] == particles_ix:
-            want = transition_distribution(i, state, model).sample(float(u[i]))
+            probs = transition_distribution(i, state, model).probabilities
+            want = int(dynamics._sample_rows(probs[None, :], u[i:i + 1])[0])
         else:
             assert state.population_index[i] == walkers_ix
             want = min(int(u[i] * 8.0), 7)

@@ -197,7 +197,6 @@ def test_edge_list_parsing_and_dedup():
     edges = parse_edge_list(text)
     assert edges.edges == (("a", "b"), ("c", "d"))
     assert edges.names == ("a", "b", "c", "d")
-    assert edges.neighbors("a") == {"b"}
 
 
 def test_edge_list_arity_error():
@@ -298,7 +297,7 @@ def test_restricted_counts_follow_target_degree(raw):
     edges = parse_edge_list("\n".join(f"{a} {b}" for a, b in pairs))
     target = edges.names[0]
     rel = build_relation_model(edges, target, "restricted")
-    degree = len(edges.neighbors(target))
+    degree = sum(target in edge for edge in edges.edges)
     assert len(rel.populations) == degree + 1
     assert rel.relation_count == degree
 
@@ -430,9 +429,8 @@ def _patches(data: bytes, side: int) -> np.ndarray:
 def _expected_patches(state) -> np.ndarray:
     """Patch colours drawn in id order, so the last agent on a patch wins."""
     patches = np.zeros((state.side, state.side, 3), dtype=np.uint8)
-    for agent in state.agents():
-        x, y = agent.position
-        patches[y, x] = PALETTE[state.population_names.index(agent.population) % len(PALETTE)]
+    for (x, y), population in zip(state.positions, state.population_index):
+        patches[y, x] = PALETTE[population % len(PALETTE)]
     return patches
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coocsim import Lattice, toroidal_distance, wrap
+from coocsim import Lattice, wrap
 from coocsim import lattice
 from coocsim.lattice import MOORE_OFFSETS, compile_disk_counts, disk_offsets, disk_sum
 from coocsim.lattice import OFFSET_ARRAY
@@ -62,42 +62,43 @@ def test_wrap_is_total(x, y, side):
     assert 0 <= wy < side
 
 
+def _distance(a, b, side):
+    """The oracle's toroidal distance, which every kernel test judges against."""
+    return math.sqrt(wrapped_dist_sq(a, b, side))
+
+
 def test_distance_examples():
-    lat = Lattice(31)
-    assert toroidal_distance((0, 0), (0, 0), lat) == 0.0
-    assert toroidal_distance((0, 0), (30, 0), lat) == 1.0
-    assert toroidal_distance((0, 0), (3, 4), lat) == 5.0
+    assert _distance((0, 0), (0, 0), 31) == 0.0
+    assert _distance((0, 0), (30, 0), 31) == 1.0
+    assert _distance((0, 0), (3, 4), 31) == 5.0
 
 
 def test_distance_symmetric_and_zero_iff_equal():
-    lat = Lattice(17)
     rng = np.random.default_rng(3)
     for _ in range(200):
         a = tuple(rng.integers(0, 17, 2))
         b = tuple(rng.integers(0, 17, 2))
-        assert toroidal_distance(a, b, lat) == toroidal_distance(b, a, lat)
-        assert (toroidal_distance(a, b, lat) == 0.0) == (a == b)
+        assert _distance(a, b, 17) == _distance(b, a, 17)
+        assert (_distance(a, b, 17) == 0.0) == (a == b)
 
 
 def test_triangle_inequality_on_sampled_triples():
-    lat = Lattice(31)
     rng = np.random.default_rng(11)
     pts = rng.integers(0, 31, size=(10_000, 3, 2))
     for a, b, c in pts:
-        ab = toroidal_distance(a, b, lat)
-        bc = toroidal_distance(b, c, lat)
-        ac = toroidal_distance(a, c, lat)
+        ab = _distance(a, b, 31)
+        bc = _distance(b, c, 31)
+        ac = _distance(a, c, 31)
         assert ac <= ab + bc + 1e-12
 
 
 @given(st.integers(3, 60))
 def test_distance_bounded_by_half_diagonal(side):
-    lat = Lattice(side)
     bound = side * math.sqrt(2) / 2
     rng = np.random.default_rng(side)
     pts = rng.integers(0, side, size=(300, 2, 2))
     for a, b in pts:
-        assert toroidal_distance(a, b, lat) <= bound + 1e-12
+        assert _distance(a, b, side) <= bound + 1e-12
 
 
 def test_disk_offsets_radius_two_has_thirteen_patches():
@@ -327,6 +328,26 @@ def test_a_compiled_count_serves_many_rows_as_disk_counts_does(monkeypatch, grid
             _brute_disk_counts(side, radii, *rows))
         assert got_probed.tolist() == compile_disk_counts(side, radii, True)(*rows).tolist() == (
             _brute_probe_counts(side, radii, *rows, OFFSET_ARRAY))
+
+
+def test_a_compiled_count_keys_every_disk_and_probe_through_one_wrap_table(monkeypatch):
+    """Radii 2, 1 and 7 (whole-torus disks on side 9, shifts up to 4) give key
+    sets of shifts 0 to 5 with the probes; a flat and a probed count each
+    build one wrap table, padded by the widest disk shift plus one, and
+    count as pairwise counting does."""
+    pads, wrap_table = [], lattice._wrap_table
+    monkeypatch.setattr(lattice, "_wrap_table", lambda side, pad: pads[-1].add(pad)
+                        or wrap_table(side, pad))
+    side, radii = 9, [2.0, 1.0, 7.0]
+    rng = np.random.default_rng(31)
+    rows = (np.sort(rng.integers(0, 3, 40)), rng.integers(0, side, (40, 2)),
+            np.sort(rng.integers(0, 3, 30)), rng.integers(0, side, (30, 2)))
+    for probed in (False, True):
+        pads.append(set())
+        got = compile_disk_counts(side, radii, probed)(*rows)
+        assert got.tolist() == (_brute_probe_counts(side, radii, *rows, OFFSET_ARRAY) if probed
+                                else _brute_disk_counts(side, radii, *rows))
+    assert pads == [{5}, {5}]
 
 
 def test_a_compiled_count_checks_radii_and_probes_once_and_rows_on_every_run():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from coocsim import (
     Lattice,
     crowding_indices,
-    equidistribution_check,
     estimate_drift_diffusion,
     neighborhood_counts,
     overlap_report,
@@ -142,33 +141,6 @@ def test_average_over_non_target_populations():
     report = neighborhood_counts(state, "t", 2.0)
     assert report.counts == {"a": 2, "b": 0}
     assert report.global_average == pytest.approx(1.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# equidistribution
-
-def test_stacked_populations_are_equidistributed():
-    names = ("a", "b", "c")
-    rows = [(n, (4, 4), True) for n in names]
-    state = make_state(9, names, rows)
-    assert equidistribution_check(state, 1.0) == {"a": True, "b": True, "c": True}
-
-
-def test_separated_populations_are_not():
-    state = make_state(31, ("a", "b"), [
-        ("a", (0, 0), True),
-        ("b", (15, 15), True),
-    ])
-    assert equidistribution_check(state, 2.0) == {"a": False, "b": False}
-
-
-def test_equidistribution_matches_oracle_on_dense_state():
-    rng = np.random.default_rng(13)
-    state = _random_state(rng, side=9, pops=3, per_pop=15)
-    got = equidistribution_check(state, 2.0)
-    for name in state.population_names:
-        counts, _ = oracle_neighborhood_counts(state, name, 2.0)
-        assert got[name] == all(c > 0 for c in counts.values())
 
 
 # ---------------------------------------------------------------------------

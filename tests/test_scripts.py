@@ -52,3 +52,14 @@ def test_toy_aggregation_writes_a_snapshot_per_split_and_tick(monkeypatch, capsy
     assert [line.split()[:2] for line in out] == [
         ["walkers=200", "particles=800"], ["walkers=500", "particles=500"],
         ["walkers=800", "particles=200"]]
+
+
+def test_side_sweep_prints_the_peak_memory_and_one_wrap_table_per_side(monkeypatch, capsys):
+    """Each side runs in its own process, which finds ``coocsim`` on ``PYTHONPATH``."""
+    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
+    _run_main(monkeypatch, "side_sweep", "--sides", 21, 31)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[0].startswith("| side |")
+    for line, side in zip(out[2:], (21, 31)):
+        got_side, vmhwm, pads = (cell.strip() for cell in line.strip("|").split("|"))
+        assert got_side == str(side) and float(vmhwm) > 0 and pads == "3"
