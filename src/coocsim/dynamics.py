@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import OFFSET_LENGTHS, compile_disk_counts, wrap
+from .lattice import OFFSET_ARRAY, OFFSET_LENGTHS, compile_disk_counts, wrap
 from .model import ConfigurationFault, Model, initialize, seed_error
 from .world import WorldState, _owned, agent_uniforms
 
@@ -250,6 +250,24 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
     return state._next(new_pos, new_active)  # wrapped by ``layout.ring``, so unchecked
 
 
+def _walk(state: WorldState, seed: int, ticks: int) -> WorldState:
+    """The state ``ticks`` ticks on under a walk-only plan: with no freeze link the
+    active set, and so the plan, holds. Each tick's walk draws, taken as ``step``
+    takes them, are summed per active agent in int64 and wrapped once."""
+    active, pos = state.active, state.positions
+    n, first = int(np.count_nonzero(active)), int(active.argmax())
+    last = first + n if active[first:first + n].all() else len(active) - int(active[::-1].argmax())
+    rows = np.flatnonzero(active[first:last]) if last - first > n else slice(None)
+    total = np.zeros((n, 2), dtype=np.int64)
+    for tick in range(state.tick, state.tick + ticks) if n else ():
+        u = agent_uniforms(seed, tick, last - first, first)[rows]
+        total += OFFSET_ARRAY.take((u * 8.0).astype(np.int64), 0)
+    new_pos = pos.copy()
+    new_pos[first:last][rows] = (new_pos[first:last][rows] + total) % state.side
+    new_pos.setflags(write=False)
+    return state._next(new_pos, active, ticks)
+
+
 @dataclass(frozen=True)
 class RunResult:
     final_state: WorldState
@@ -265,9 +283,11 @@ def run(
     """Initialize and step to ``max_ticks``, sampling observers on the way.
 
     Observers are called with (state, model) at each requested tick; their
-    return values are collected per tick in observer order. The whole run is
-    reproducible from (model, seed). A model that :func:`validate` rejects raises
-    :class:`ConfigurationFault`, and a seed it would reject ``ValueError``, before any draw.
+    return values are collected per tick in observer order. After a step whose
+    plan has no field or freeze link, each stretch to the next report tick is one
+    ``_walk``, equal to stepping. The whole run is reproducible from (model, seed).
+    A model that :func:`validate` rejects raises :class:`ConfigurationFault`, and a
+    seed it would reject ``ValueError``, before any draw.
     """
     if seed is None:
         seed = model.params.seed
@@ -285,9 +305,15 @@ def run(
     if wanted and wanted[0] == 0:
         observations[0] = tuple(obs(state, model) for obs in observers)
     remaining = [t for t in wanted if t > 0]
-    for tick in range(1, model.params.max_ticks + 1):
-        state = step(state, model, seed)
-        if remaining and remaining[0] == tick:
+    walk_only = False
+    while state.tick < model.params.max_ticks:
+        if walk_only:  # with no freeze link nothing freezes, so the plan holds to the end
+            state = _walk(state, seed, (remaining or [model.params.max_ticks])[0] - state.tick)
+        else:
+            state = step(state, model, seed)
+            plan = model.layout._last[1]  # the plan this step just used
+            walk_only = plan.field is None and plan.freeze is None
+        if remaining and remaining[0] == state.tick:
             remaining.pop(0)
-            observations[tick] = tuple(obs(state, model) for obs in observers)
+            observations[state.tick] = tuple(obs(state, model) for obs in observers)
     return RunResult(final_state=state, observations=observations)

@@ -61,11 +61,12 @@ class WorldState:
         if n and (self.positions.min() < 0 or self.positions.max() >= self.side):
             raise ValueError("positions out of lattice range")
 
-    def _next(self, positions: np.ndarray, active: np.ndarray) -> WorldState:
-        """The state one tick on, unchecked: the caller passes read-only arrays of this
-        state's shapes and dtypes, positions already wrapped into [0, side)."""
+    def _next(self, positions: np.ndarray, active: np.ndarray, ticks: int = 1) -> WorldState:
+        """The state ``ticks`` ticks on, unchecked: the caller passes read-only arrays of
+        this state's shapes and dtypes, positions already wrapped into [0, side)."""
         state = object.__new__(type(self))
-        state.__dict__.update(vars(self), tick=self.tick + 1, positions=positions, active=active)
+        state.__dict__.update(vars(self), tick=self.tick + ticks, positions=positions,
+                              active=active)
         return state
 
     @property

@@ -1367,6 +1367,108 @@ def test_run_is_reproducible_end_to_end():
 
 
 # ---------------------------------------------------------------------------
+# walk-only stretches
+
+@st.composite
+def walk_only_worlds(draw):
+    """A model of 1 to 3 populations that only walk, and its state at some
+    tick with the active ids one run, one run whose first id lies inside a
+    Philox counter block, or scattered."""
+    names = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    model = build_model(INVARIANT_RULES, [InteractionMatrixEntry(name, "walk", 0, 0)
+                                          for name in names],
+                        side=draw(st.integers(3, 12)),
+                        sizes={name: draw(st.integers(1, 12)) for name in names})
+    state = initialize(model, draw(st.integers(0, 2**32 - 1)))
+    n, ids = state.n_agents, np.arange(state.n_agents)
+    kind = draw(st.sampled_from(["run", "run_inside_block", "scattered"]))
+    if kind == "scattered":
+        active = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    else:
+        firsts = [k for k in range(n) if k % 4 or kind == "run"]
+        assume(firsts)
+        lo = draw(st.sampled_from(firsts))
+        active = (ids >= lo) & (ids < draw(st.integers(lo + 1, n)))
+    return model, dataclasses.replace(state, tick=draw(st.integers(0, 50)), active=active)
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_only_worlds(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_a_walk_stretch_equals_a_step_per_tick(world, ticks, seed):
+    """One stretch of K ticks sums the walk draws of K ``step`` calls and
+    wraps once: the same tick, positions and active set, read-only."""
+    model, state = world
+    stretched = dynamics._walk(state, seed, ticks)
+    for _ in range(ticks):
+        state = step(state, model, seed)
+    assert stretched.tick == state.tick
+    assert np.array_equal(stretched.positions, state.positions)
+    assert stretched.active is state.active
+    assert stretched.positions.dtype == np.int64 and not stretched.positions.flags.writeable
+
+
+def _freeze_out_model():
+    """Toy particles that all freeze within a few ticks; walkers walk on."""
+    return make_toy_model(walkers=30, particles=60, side=11, seed=3, max_ticks=40)
+
+
+def test_run_through_walk_stretches_equals_a_hand_loop_of_step(monkeypatch):
+    """Once the toy particles froze out, nobody follows: the step that finds
+    that is the run's last, and stretches carry it to each report tick and
+    to ``max_ticks``. Observations and final state are a hand loop's."""
+    model = _freeze_out_model()
+    states = [initialize(model, 3)]
+    for _ in range(40):
+        states.append(step(states[-1], model, 3))
+    particles = states[0].population_index == 0
+    frozen_out = next(t for t, s in enumerate(states) if not s.active[particles].any())
+    assert frozen_out + 10 < 40
+    stretches, walk = [], dynamics._walk
+    monkeypatch.setattr(dynamics, "_walk", lambda state, seed, ticks: stretches.append(
+        (state.tick, ticks)) or walk(state, seed, ticks))
+    observe = [lambda s, m: s.positions.copy(), lambda s, m: s.active.copy()]
+    wanted = [0, frozen_out + 4, frozen_out + 9, 40]
+    result = run(model, report_ticks=wanted, observers=observe, seed=3)
+    walk_from = frozen_out + 1  # the step out of ``frozen_out`` is the first walk-only one
+    assert stretches == [(walk_from, 3), (walk_from + 3, 5), (walk_from + 8, 40 - walk_from - 8)]
+    for tick in wanted:
+        positions, active = result.observations[tick]
+        assert np.array_equal(positions, states[tick].positions), f"tick {tick}"
+        assert np.array_equal(active, states[tick].active), f"tick {tick}"
+    assert result.final_state.tick == 40
+    assert np.array_equal(result.final_state.positions, states[40].positions)
+
+
+def test_a_second_run_does_not_reuse_the_walk_only_plan_the_first_left():
+    """The first run ends walk-only and leaves that plan in ``model.layout``.
+    The second run of the same model must still follow and freeze from tick
+    0, as a run of a fresh copy of the model does."""
+    model = _freeze_out_model()
+    observe = [lambda s, m: s.positions.copy(), lambda s, m: s.active.copy()]
+    runs = [run(model, report_ticks=[0, 1, 2, 40], observers=observe, seed=3)]
+    plan = model.layout._last[1]
+    assert plan.field is None and plan.freeze is None
+    for again in (model, dataclasses.replace(model)):
+        runs.append(run(again, report_ticks=[0, 1, 2, 40], observers=observe, seed=3))
+    for tick in (1, 2, 40):
+        for got in runs[1:]:
+            for a, b in zip(runs[0].observations[tick], got.observations[tick]):
+                assert np.array_equal(a, b), f"tick {tick}"
+
+
+def test_a_stretch_with_no_active_agent_draws_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stretch of no active agent drew uniforms")
+
+    model = make_walk_model(n_agents=10, side=9, seed=2)
+    state = dataclasses.replace(initialize(model, 2), tick=3, active=np.zeros(10, dtype=bool))
+    monkeypatch.setattr(dynamics, "agent_uniforms", refuse)
+    after = dynamics._walk(state, 2, 7)
+    assert after.tick == 10 and after.active is state.active
+    assert np.array_equal(after.positions, state.positions)
+
+
+# ---------------------------------------------------------------------------
 # kernel moments
 
 def test_pure_walk_mean_square_step_near_one_and_a_half():

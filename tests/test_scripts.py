@@ -63,3 +63,15 @@ def test_side_sweep_prints_the_peak_memory_and_one_wrap_table_per_side(monkeypat
     for line, side in zip(out[2:], (21, 31)):
         got_side, vmhwm, pads = (cell.strip() for cell in line.strip("|").split("|"))
         assert got_side == str(side) and float(vmhwm) > 0 and pads == "3"
+
+
+def test_pop_sweep_prints_the_wall_time_and_peak_memory_per_size(monkeypatch, capsys):
+    """Each size runs in its own process, which finds ``coocsim`` on ``PYTHONPATH``."""
+    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
+    _run_main(monkeypatch, "pop_sweep", "--pops", 4, 6)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[0].startswith("| populations |")
+    for line, pops in zip(out[2:], (4, 6)):
+        got_pops, agents, wall, vmhwm = (cell.strip() for cell in line.strip("|").split("|"))
+        assert (got_pops, agents) == (str(pops), str(20 * pops))
+        assert float(wall) > 0 and float(vmhwm) > 0

@@ -47,15 +47,22 @@ def _split(stage_split, capsys, workload):
     assert out["walk_only_ticks"]["field"] == out["walk_only_ticks"]["deactivation"] == 0
     assert out["tick_0"]["field"] > 0
     assert out["all_ticks"]["minor_faults"] >= out["tick_0"]["minor_faults"]
+    stretched = out["walk_stretches"]
+    assert set(stretched) == set(stage_split.STRETCH_KEYS)
+    assert out["stepped_tick_count"] + stretched["ticks"] == meta["steps"]
+    assert stretched["minor_faults"] >= 0
+    assert (stretched["uniforms"] > 0) == (stretched["ticks"] > 0) == (stretched["total"] > 0)
     return out, meta
 
 
 def test_stage_split_reports_every_stage_of_every_group(stage_split, capsys):
     """A stage a step skipped counts as 0 s, and a tick with no field call
-    is walk-only. dense_freeze has both follow ticks and walk-only ticks, and
-    at workload seed 1 it runs 19,622 walkers with program seed 3620304598."""
+    is walk-only. dense_freeze has follow ticks, a walk-only tick and then
+    walk stretches: stepped and stretched ticks make its 60. At workload seed
+    1 it runs 19,622 walkers with program seed 3620304598."""
     out, meta = _split(stage_split, capsys, "dense_freeze")
-    assert 0 < out["walk_only_tick_count"] < 60
+    assert 0 < out["walk_only_tick_count"] < out["stepped_tick_count"] < 60
+    assert out["walk_stretches"]["ticks"] > 0
     assert meta["seed"] == 3620304598 and meta["sizes"]["walkers"] == 19622
 
 
@@ -65,6 +72,7 @@ def test_stage_split_of_the_small_set(stage_split, capsys):
     out, meta = _split(stage_split, capsys, "small_set")
     assert meta["steps"] == 100 and set(meta["sizes"].values()) == {100}
     assert len(meta["sizes"]) == 13 and out["follow_ticks"]["field"] > 0
+    assert out["walk_stretches"]["ticks"] == 0 and out["stepped_tick_count"] == 100
 
 
 def test_stage_split_of_the_star_ring(stage_split, capsys):
@@ -72,6 +80,6 @@ def test_stage_split_of_the_star_ring(stage_split, capsys):
     field and counts freezes."""
     out, meta = _split(stage_split, capsys, "star_ring")
     assert sorted(meta["sizes"]) == sorted(stage_split.bench.prepare("star_ring", 1).names)
-    assert out["walk_only_tick_count"] == 0
+    assert out["walk_only_tick_count"] == out["walk_stretches"]["ticks"] == 0
     for group in ("tick_0", "follow_ticks", "all_ticks"):
         assert out[group]["field"] > 0 and out[group]["deactivation"] > 0, group
