@@ -120,12 +120,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_matrix(args: argparse.Namespace) -> int:
+    rules_out, matrix_out = Path(args.rules_out), Path(args.matrix_out)
+    for out in (rules_out, matrix_out):  # each refusal comes before either file is written
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError(f"{out}: not a file name in an existing directory")
+    if len({path.resolve() for path in (rules_out, matrix_out, Path(args.edges))}) < 3:
+        raise ValueError(f"--rules-out {rules_out}, --matrix-out {matrix_out} and the edge "
+                         f"list {args.edges} must be three different files")
     relation = build_relation_model(
         _read(args.edges, parse_edge_list), args.target, kind=args.kind,
         distance=args.distance, symmetric=args.symmetric,
     )
-    Path(args.rules_out).write_text(format_rules(relation.rules), encoding="utf-8")
-    Path(args.matrix_out).write_text(format_matrix(relation.matrix), encoding="utf-8")
+    rules_out.write_text(format_rules(relation.rules), encoding="utf-8")
+    matrix_out.write_text(format_matrix(relation.matrix), encoding="utf-8")
     print(f"populations: {len(relation.populations)}")
     print(f"relations: {relation.relation_count}")
     return 0

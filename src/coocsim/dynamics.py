@@ -226,13 +226,13 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
             move_idx[rows] = _sample_rows(probs, u[rows])
         del h  # before the freeze count's keys
 
-    moved = xy + layout.moves.take(move_idx, 0)  # unwrapped until the ring lookup
+    moved = xy + OFFSET_ARRAY.take(move_idx, 0)  # unwrapped until the remainder by the side
     if run_path:  # the moved rows are written once, into the successor; only the rest is copied
         new_pos = np.empty_like(pos)
         new_pos[:first], new_pos[last:] = pos[:first], pos[last:]
-        moved = layout.ring.take(moved, out=new_pos[first:last])
+        moved = np.remainder(moved, state.side, out=new_pos[first:last])
     else:  # two 1-D column scatters cost about half of one 2-D row scatter
-        new_pos, moved = pos.copy(), layout.ring.take(moved)
+        new_pos, moved = pos.copy(), np.remainder(moved, state.side, out=moved)
         new_pos[agents, 0], new_pos[agents, 1] = moved.T
 
     # Deactivation: thresholds are checked against the post-move positions
@@ -247,7 +247,7 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
         new_active.setflags(write=False)
 
     new_pos.setflags(write=False)
-    return state._next(new_pos, new_active)  # wrapped by ``layout.ring``, so unchecked
+    return state._next(new_pos, new_active)  # wrapped by the remainder, so unchecked
 
 
 def _walk(state: WorldState, seed: int, ticks: int) -> WorldState:

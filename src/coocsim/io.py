@@ -161,11 +161,7 @@ class EdgeList:
 
     @property
     def names(self) -> tuple[str, ...]:
-        seen = set()
-        for a, b in self.edges:
-            seen.add(a)
-            seen.add(b)
-        return tuple(sorted(seen))
+        return tuple(sorted({name for edge in self.edges for name in edge}))
 
 
 def parse_edge_list(text: str) -> EdgeList:

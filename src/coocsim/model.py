@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .lattice import OFFSET_ARRAY, Lattice, compile_disk_counts
+from .lattice import Lattice, compile_disk_counts
 from .metrics import crowding_indices
 from .world import WorldState, placement_generator
 
@@ -319,8 +319,6 @@ class _Layout:
         names, side = model.population_names, model.lattice.side
         self.n_pops = len(names)
         self.world = (side, names)  # what a state of this model carries
-        # A walk's steps are -1, 0 or 1, so ``ring`` wraps x + d, read at x + d + 1.
-        self.ring, self.moves = np.arange(-1, side + 1) % side, OFFSET_ARRAY + 1
         pop_of = {name: i for i, name in enumerate(names)}
         rules = model.rules_by_name()
 

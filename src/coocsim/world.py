@@ -45,10 +45,8 @@ class WorldState:
         index, k = np.asarray(self.population_index), len(self.population_names)
         if index.dtype.kind not in "biuf":
             raise ValueError(f"population index must be numeric, got dtype {index.dtype}")
-        # Int32 in one pass, a negative index reading as a large unsigned one;
-        # any other type before the cast, which would wrap 2**32 to 0.
-        if index.size and (index.view(np.uint32).max() >= k if index.dtype == np.int32
-                           else not 0 <= index.min() <= index.max() < k):
+        # Before the cast, which would wrap 2**32 to 0.
+        if index.size and not 0 <= index.min() <= index.max() < k:
             raise ValueError(f"population index out of range [0, {k})")
         object.__setattr__(self, "population_index", _owned(index, np.int32))
         object.__setattr__(self, "positions", _owned(self.positions, np.int64))

@@ -489,6 +489,30 @@ def test_gen_matrix_unwritable_output_is_one_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:") and str(rules_out) in lines[0]
 
 
+@pytest.mark.parametrize("outs, word", [
+    (("r.txt", "nodir/m.txt"), "existing directory"),
+    (("r.txt", "."), "existing directory"),
+    (("m.txt", "m.txt"), "three different files"),
+    (("edges.txt", "m.txt"), "three different files"),
+    (("r.txt", "./edges.txt"), "three different files"),
+], ids=["missing_matrix_dir", "matrix_is_a_dir", "same_output", "rules_over_edges",
+        "matrix_over_edges"])
+def test_gen_matrix_refuses_outputs_before_writing_either(tmp_path, capsys, monkeypatch, outs,
+                                                          word):
+    """A missing matrix directory, or a directory as the matrix, once left the rules file
+    behind, and one path for both outputs, or the edge list's own, was written over with
+    exit code 0."""
+    edges = tmp_path / "edges.txt"
+    edges.write_text("t a\n")
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli("gen-matrix", edges, "--target", "t", "--rules-out", outs[0],
+                 "--matrix-out", outs[1])
+    assert rc == 1 and edges.read_text() == "t a\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["edges.txt"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
+
+
 @pytest.mark.parametrize("distance", ["-1", "0", "nan", "inf"])
 def test_gen_matrix_rejects_distance_before_writing(tmp_path, capsys, distance):
     edges = tmp_path / "edges.txt"

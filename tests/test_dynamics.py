@@ -473,12 +473,14 @@ def test_every_entry_point_refuses_a_state_of_another_model(make_state_of):
             assert str(value) in str(refused.value)
 
 
-@pytest.mark.parametrize("index", [2, 5, -1, 2**32])
+@pytest.mark.parametrize("index", [2, 5, -1, 2**32, np.int32(-1), np.int32(2)], ids=repr)
 def test_world_state_refuses_a_population_index_out_of_range(index):
-    """An int64 index of 2**32 would wrap to population 0 under the int32 cast."""
+    """An int64 index of 2**32 would wrap to population 0 under the int32 cast;
+    an int32 index (the dtype ``initialize`` builds) takes the same check."""
     with pytest.raises(ValueError, match=r"population index out of range \[0, 2\)"):
         dataclasses.replace(make_state(9, ("a", "b"), [("a", (1, 1), True), ("b", (2, 2), True)]),
-                            population_index=np.array([0, index], dtype=np.int64))
+                            population_index=np.array([0, index],
+                                                      dtype=getattr(index, "dtype", np.int64)))
 
 
 @pytest.mark.parametrize("field, values", [

@@ -5,14 +5,22 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    """The module of ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def _run_main(monkeypatch, name, *args):
     """Run the ``main()`` of ``scripts/<name>.py`` with ``args`` as its command line."""
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load(name)
     monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
     script.main()
 
@@ -54,24 +62,28 @@ def test_toy_aggregation_writes_a_snapshot_per_split_and_tick(monkeypatch, capsy
         ["walkers=800", "particles=200"]]
 
 
-def test_side_sweep_prints_the_peak_memory_and_one_wrap_table_per_side(monkeypatch, capsys):
-    """Each side runs in its own process, which finds ``coocsim`` on ``PYTHONPATH``."""
-    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
-    _run_main(monkeypatch, "side_sweep", "--sides", 21, 31)
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 4 and out[0].startswith("| side |")
-    for line, side in zip(out[2:], (21, 31)):
-        got_side, vmhwm, pads = (cell.strip() for cell in line.strip("|").split("|"))
-        assert got_side == str(side) and float(vmhwm) > 0 and pads == "3"
-
-
-def test_pop_sweep_prints_the_wall_time_and_peak_memory_per_size(monkeypatch, capsys):
+def test_sweep_prints_every_column_of_both_sweeps(monkeypatch, capsys):
     """Each size runs in its own process, which finds ``coocsim`` on ``PYTHONPATH``."""
     monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
-    _run_main(monkeypatch, "pop_sweep", "--pops", 4, 6)
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 4 and out[0].startswith("| populations |")
-    for line, pops in zip(out[2:], (4, 6)):
-        got_pops, agents, wall, vmhwm = (cell.strip() for cell in line.strip("|").split("|"))
-        assert (got_pops, agents) == (str(pops), str(20 * pops))
-        assert float(wall) > 0 and float(vmhwm) > 0
+    for option, sizes in (("--sides", (21, 31)), ("--pops", (4, 6))):
+        _run_main(monkeypatch, "sweep", option, *sizes)
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 4 and out[0].startswith("| side | populations | agents |")
+        for line, size in zip(out[2:], sizes):
+            side, pops, agents, wall, vmhwm, pads = (cell.strip()
+                                                     for cell in line.strip("|").split("|"))
+            expected = (size, 2, 1000) if option == "--sides" else (101, size, 20 * size)
+            assert (side, pops, agents) == tuple(map(str, expected))
+            assert float(wall) > 0 and float(vmhwm) > 0 and pads == "3"
+
+
+def test_sweep_without_a_peak_memory_line_is_one_error_line(monkeypatch):
+    """A host whose ``/proc/self/status`` has no ``VmHWM`` line, as the child reads it."""
+    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
+    script = _load("sweep")
+    monkeypatch.setattr(script, "CHILD", script.CHILD.replace('"VmHWM:"', '"NoSuchLine:"'))
+    monkeypatch.setattr(sys, "argv", ["sweep", "--sides", "21"])
+    with pytest.raises(SystemExit) as exited:
+        script.main()
+    assert str(exited.value).startswith("error:") and "VmHWM" in str(exited.value)
+    assert "\n" not in str(exited.value)
