@@ -62,19 +62,29 @@ def test_toy_aggregation_writes_a_snapshot_per_split_and_tick(monkeypatch, capsy
         ["walkers=800", "particles=200"]]
 
 
-def test_sweep_prints_every_column_of_both_sweeps(monkeypatch, capsys):
-    """Each size runs in its own process, which finds ``coocsim`` on ``PYTHONPATH``."""
+def _sweep_rows(monkeypatch, capsys, option, sizes):
+    """The cells of each row that ``scripts/sweep.py option sizes`` prints.
+
+    Each size runs in its own process, which finds ``coocsim`` on ``PYTHONPATH``."""
     monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
-    for option, sizes in (("--sides", (21, 31)), ("--pops", (4, 6))):
-        _run_main(monkeypatch, "sweep", option, *sizes)
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) == 4 and out[0].startswith("| side | populations | agents |")
-        for line, size in zip(out[2:], sizes):
-            side, pops, agents, wall, vmhwm, pads = (cell.strip()
-                                                     for cell in line.strip("|").split("|"))
-            expected = (size, 2, 1000) if option == "--sides" else (101, size, 20 * size)
-            assert (side, pops, agents) == tuple(map(str, expected))
-            assert float(wall) > 0 and float(vmhwm) > 0 and pads == "3"
+    _run_main(monkeypatch, "sweep", option, *sizes)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[0].startswith("| side | populations | agents |")
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in out[2:]]
+
+
+def test_side_sweep_prints_the_peak_memory_and_one_wrap_table_per_side(monkeypatch, capsys):
+    rows = _sweep_rows(monkeypatch, capsys, "--sides", (21, 31))
+    for (side, pops, agents, wall, vmhwm, pads), size in zip(rows, (21, 31)):
+        assert (side, pops, agents) == (str(size), "2", "1000")
+        assert float(wall) > 0 and float(vmhwm) > 0 and pads == "3"
+
+
+def test_pop_sweep_prints_the_wall_time_and_peak_memory_per_size(monkeypatch, capsys):
+    rows = _sweep_rows(monkeypatch, capsys, "--pops", (4, 6))
+    for (side, pops, agents, wall, vmhwm, pads), size in zip(rows, (4, 6)):
+        assert (side, pops, agents) == ("101", str(size), str(20 * size))
+        assert float(wall) > 0 and float(vmhwm) > 0 and pads == "3"
 
 
 def test_sweep_without_a_peak_memory_line_is_one_error_line(monkeypatch):
