@@ -14,10 +14,12 @@ snapshots in its own Python process:
   the rules and matrix, and the run has 20 agents per population on a
   101 x 101 lattice for 8 ticks, with reports at ticks 0, 4 and 8 around the hub.
 
-Prints one table row per size: the side, populations and agents of the run,
-the wall time of ``cli.main`` in s, the process's peak resident memory
-(``VmHWM`` of ``/proc/self/status``, so Linux only, in MB of 2**20 bytes) and
-the pads of the wrap tables the run built (``lattice._wrap_table``). Either
+Each size runs ``RUNS`` times, each run in a fresh process, as single runs of
+the same code vary by a fifth. Prints one table row per size: the side,
+populations and agents of the run, the median wall time of ``cli.main`` in s,
+the largest peak resident memory of the runs (``VmHWM`` of
+``/proc/self/status``, so Linux only, in MB of 2**20 bytes) and the pads of
+the wrap tables the runs built (``lattice._wrap_table``). Either
 option alone sweeps its default sizes. ``coocsim`` comes from ``PYTHONPATH``,
 so the same script measures another checkout's ``src``:
 
@@ -27,6 +29,7 @@ so the same script measures another checkout's ``src``:
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +38,7 @@ from pathlib import Path
 DATA = Path(__file__).resolve().parents[1] / "data"
 SIDES = (301, 1000, 2000, 3000)
 POPS = (401, 1601, 6401)
+RUNS = 3
 HUB = "zhub"
 
 #: One run in a fresh process, ``sys.argv[1:]`` being its ``coocsim`` arguments: prints its
@@ -106,14 +110,19 @@ def main() -> None:
         sizes, build = args.pops or POPS, hub_run
         if min(sizes) < 4:
             ap.error("a hub and ring needs at least 4 populations")
-    print("| side | populations | agents | `cli.main` (s) | `VmHWM` (MB) | wrap-table pads |")
-    print("|------|-------------|--------|----------------|--------------|-----------------|")
+    print("| side | populations | agents | median `cli.main` (s) | largest `VmHWM` (MB) "
+          "| wrap-table pads |")
+    print("|------|-------------|--------|-----------------------|----------------------"
+          "|-----------------|")
     with tempfile.TemporaryDirectory() as tmp:
         for size in sizes:
             (side, pops, agents), argv = build(size, Path(tmp) / str(size))
-            got = measure(argv)
-            print(f"| {side} | {pops} | {agents} | {got['wall_s']:.3f} | "
-                  f"{got['vmhwm_kb'] / 1024:.1f} | {', '.join(map(str, got['pads']))} |")
+            runs = [measure(argv) for _ in range(RUNS)]
+            wall = statistics.median(got["wall_s"] for got in runs)
+            kb = max(got["vmhwm_kb"] for got in runs)
+            pads = sorted({pad for got in runs for pad in got["pads"]})
+            print(f"| {side} | {pops} | {agents} | {wall:.3f} | {kb / 1024:.1f} | "
+                  f"{', '.join(map(str, pads))} |")
 
 
 if __name__ == "__main__":

@@ -216,8 +216,10 @@ def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldS
             follow = _members(starts, plan.follow)[1]
             rank = np.empty(n, dtype=np.int64)  # row of each follower in h
             rank[follow] = np.arange(len(follow))
-            keys = (np.arange(8)[:, None] * len(follow) + rank[probed]).ravel()
-            h = np.bincount(keys, h.T.ravel(), 8 * len(follow)).astype(np.int64).reshape(8, -1).T
+            at, total = rank[probed], np.zeros((8, len(follow)), dtype=np.int64)
+            for j in range(8):  # exact int64 adds, one 1-D scatter per direction
+                np.add.at(total[j], at, h[:, j])
+            h = total.T
         # Self-contributions of a self-linking entry cancel between the +d and
         # -d probes, so the raw counts are already correct.
         for lo in range(0, len(follow), _MOVE_ROWS):

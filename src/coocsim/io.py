@@ -108,12 +108,15 @@ def parse_matrix(text: str) -> list[InteractionMatrixEntry]:
     for line_no, tokens in _content_lines(text, ";"):
         if len(tokens) not in (4, 6):
             raise ParseError(line_no, f"expected 4 or 6 fields, got {len(tokens)}")
-        priority = _typed(int, tokens[2], line_no, "priority must be an integer")
-        cardinality = _typed(int, tokens[3], line_no, "cardinality must be an integer")
         target = distance = None
-        if len(tokens) == 6:
-            target = tokens[4]
-            distance = _typed(float, tokens[5], line_no, "distance must be a number")
+        try:
+            priority, cardinality = int(tokens[2]), int(tokens[3])
+            if len(tokens) == 6:
+                target, distance = tokens[4], float(tokens[5])
+        except ValueError:  # field by field, in field order, so the first bad field is named
+            _typed(int, tokens[2], line_no, "priority must be an integer")
+            _typed(int, tokens[3], line_no, "cardinality must be an integer")
+            _typed(float, tokens[5], line_no, "distance must be a number")
         entries.append(InteractionMatrixEntry(tokens[0], tokens[1], priority, cardinality,
                                               target, distance))
     return entries

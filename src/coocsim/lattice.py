@@ -154,13 +154,13 @@ def compile_disk_counts(side: int, radii, probed: bool = False):
             # Each chunk of points is stamped, read by every query and unstamped.
             for lo in range(p0, p1, point_chunk):
                 pts = slice(lo, min(lo + point_chunk, p1))
-                keys = stamp(point_group[pts] - first, point_xy[pts])
+                keys = stamp(point_group[pts] - first, point_xy[pts]).ravel()  # 1-D scatters
                 np.add.at(grid, keys, np.int32(1))
                 for qlo in range(q0, q1, query_chunk):
                     qs = slice(qlo, min(qlo + query_chunk, q1))
                     at = read(query_group[qs] - first, query_xy[qs])
-                    got = grid[at] if len(at) == len(probes) else (  # a cell or a disk per probe
-                        grid[at].reshape(len(probes), -1, at.shape[1]).sum(axis=1))
+                    got = grid.take(at) if len(at) == len(probes) else (  # a cell or a disk per probe
+                        grid.take(at).reshape(len(probes), -1, at.shape[1]).sum(axis=1))
                     counts[:, qs] += got
                 grid[keys] = 0
         return counts.T if probed else counts[0]

@@ -212,27 +212,28 @@ def validate(model: Model) -> list[Diagnostic]:
     sizes = model.population_sizes()
     applies: dict[str, set] = {}  # per source: targets of entries applying at tick 0, None for good
     freezes = set()  # sources of entries that can freeze, so whose active counts can fall
+    # The label of the entry checked below, built only for an entry with a diagnostic.
+    where = lambda: f"matrix entry {i} ({entry.source_family} {entry.interaction_name})"
     for i, entry in enumerate(model.matrix):
-        where = f"matrix entry {i} ({entry.source_family} {entry.interaction_name})"
         if entry.source_family not in pop_names:
-            err(f"{where}: unknown source population {entry.source_family!r}")
+            err(f"{where()}: unknown source population {entry.source_family!r}")
         rule = rules.get(entry.interaction_name)
         if rule is None:
-            err(f"{where}: unknown rule {entry.interaction_name!r}")
+            err(f"{where()}: unknown rule {entry.interaction_name!r}")
         if entry.priority < 0:
-            err(f"{where}: priority must be nonnegative, got {entry.priority}")
+            err(f"{where()}: priority must be nonnegative, got {entry.priority}")
         if entry.cardinality < 0:
-            err(f"{where}: cardinality must be nonnegative, got {entry.cardinality}")
+            err(f"{where()}: cardinality must be nonnegative, got {entry.cardinality}")
         elif entry.cardinality > 1:
-            warn(f"{where}: cardinality {entry.cardinality} has no special meaning beyond a count threshold")
+            warn(f"{where()}: cardinality {entry.cardinality} has no special meaning beyond a count threshold")
         has_target = entry.target_family is not None
         has_distance = entry.distance is not None
         if has_target != has_distance:
-            err(f"{where}: target family and distance must be given together")
+            err(f"{where()}: target family and distance must be given together")
         if has_target and entry.target_family not in pop_names:
-            err(f"{where}: unknown target population {entry.target_family!r}")
+            err(f"{where()}: unknown target population {entry.target_family!r}")
         if has_distance and not 0 < entry.distance < float("inf"):
-            err(f"{where}: distance must be a finite positive number, got {entry.distance}")
+            err(f"{where()}: distance must be a finite positive number, got {entry.distance}")
         size, targets = sizes.get(entry.target_family, 0), applies.setdefault(entry.source_family, set())
         if not has_target or entry.cardinality <= size:  # None: a walk, or cardinality 0, lasts
             targets.add(entry.target_family if entry.cardinality else None)
@@ -241,11 +242,11 @@ def validate(model: Model) -> list[Diagnostic]:
                     entry.cardinality <= size - (entry.target_family == entry.source_family)):
                 freezes.add(entry.source_family)  # a self-linked agent counts itself too
             if has_target and rule.movement_action != FOLLOW_PATH:
-                err(f"{where}: targeted entries must use a {FOLLOW_PATH} rule")
+                err(f"{where()}: targeted entries must use a {FOLLOW_PATH} rule")
             if not has_target and rule.movement_action != RANDOM_WALK:
-                err(f"{where}: targetless entries must use a {RANDOM_WALK} rule")
+                err(f"{where()}: targetless entries must use a {RANDOM_WALK} rule")
             if not has_target and rule.deactivation_action == DEACTIVATE_SOURCE:
-                warn(f"{where}: {DEACTIVATE_SOURCE} without a target never triggers")
+                warn(f"{where()}: {DEACTIVATE_SOURCE} without a target never triggers")
 
     # Counts fall only by freezing: what fails at tick 0 never applies; what holds may not last.
     for pop in model.populations:

@@ -725,6 +725,29 @@ end
     _assert_steps_match_oracle(model, 5, 4)
 
 
+def test_step_adds_a_followers_field_groups_as_the_oracle_does():
+    """Population ``a`` follows three field groups: ``b`` and ``c`` (one
+    target each, as a population's entries to one target merge into one group),
+    at distances 1.5 and 3, and itself. ``d`` follows ``b`` at 3 as well, so
+    ``b`` is the target of groups at both distances. ``step`` adds ``a``'s
+    three counts per probe in the several-groups branch and matches the oracle."""
+    rules = parse_rules(CHASE_RULES)
+    matrix = [InteractionMatrixEntry(name, "walk", 0, 0) for name in "abcd"]
+    matrix += [
+        InteractionMatrixEntry("a", "chase", 1, 1, "b", 1.5),
+        InteractionMatrixEntry("a", "chase", 1, 1, "c", 3.0),
+        InteractionMatrixEntry("a", "chase", 1, 1, "a", 2.0),
+        InteractionMatrixEntry("d", "chase", 1, 1, "b", 3.0),
+    ]
+    model = build_model(rules, matrix, side=11, beta=3.0, seed=7,
+                        sizes={"a": 9, "b": 6, "c": 5, "d": 4})
+    assert model.layout.field_groups[0] == ((0, 2.0), (1, 1.5), (2, 3.0))
+    _assert_steps_match_oracle(model, 7, 3)
+    plan = model.layout._last[1]
+    assert plan.follow.tolist() == [0, 3]
+    assert len(plan.field.sources) > len(plan.follow)
+
+
 def test_step_matches_reference_when_the_active_ids_start_inside_a_counter_block():
     """Agents 0-5 and the last 3 are frozen, so step draws uniforms over an
     id span whose first agent is not the first of a Philox counter block."""

@@ -130,6 +130,10 @@ def test_parse_matrix_numeric_errors_carry_line_numbers():
         parse_matrix("bad walk 0 x\n")
     with pytest.raises(ParseError, match="distance"):
         parse_matrix("bad cooc 1 1 t x\n")
+    # With two bad fields, the first one is named, on the line it is on.
+    with pytest.raises(ParseError, match="^line 2: priority must be an integer, got 'x'$") as exc:
+        parse_matrix("ok walk 0 0\nbad cooc x 1 t y\n")
+    assert exc.value.line_no == 2
 
 
 def test_parse_matrix_preserves_order_and_skips_comments():
