@@ -125,11 +125,11 @@ def _field(center, agent_id: int, state: WorldState, model: Model, probed: bool)
     each Moore step if ``probed``; the agent itself never counts."""
     layout = model.layout
     layout.check(state)
-    groups = layout.field_groups[int(state.population_index[agent_id])]
+    groups = np.flatnonzero(layout.group_source == state.population_index[agent_id])
     others = state.active & (np.arange(state.n_agents) != agent_id)
     agents, starts = _by_population(others, state.population_index, layout.n_pops)
-    point_group, points = _members(starts, [target for target, _ in groups])
-    count = compile_disk_counts(model.lattice.side, [distance for _, distance in groups], probed)
+    point_group, points = _members(starts, layout.group_target[groups])
+    count = compile_disk_counts(model.lattice.side, layout.group_distance[groups], probed)
     counts = count(point_group, state.positions[agents[points]],
                    np.arange(len(groups)), np.full((len(groups), 2), center))
     return counts.sum(axis=0)
@@ -163,8 +163,8 @@ def select_rule(agent_id: int, state: WorldState, model: Model):
     layout = model.layout
     layout.check(state)
     counts = np.bincount(state.population_index[state.active], minlength=layout.n_pops)
-    entry = layout.select(int(state.population_index[agent_id]), counts)
-    return model.matrix[entry.order]
+    [row] = layout.select(counts, state.population_index[agent_id:agent_id + 1])
+    return model.matrix[layout.order[row]]
 
 
 def step(state: WorldState, model: Model, rng_root: int | None = None) -> WorldState:

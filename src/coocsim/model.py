@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -248,6 +248,8 @@ def validate(model: Model) -> list[Diagnostic]:
             if not has_target and rule.deactivation_action == DEACTIVATE_SOURCE:
                 warn(f"{where()}: {DEACTIVATE_SOURCE} without a target never triggers")
 
+    if not model.matrix:
+        err("the matrix has no entries, so the model has no population to run")
     # Counts fall only by freezing: what fails at tick 0 never applies; what holds may not last.
     for pop in model.populations:
         if not applies.get(pop.name):
@@ -276,29 +278,22 @@ def validate(model: Model) -> list[Diagnostic]:
     return out
 
 
-class _Entry(NamedTuple):
-    order: int
-    cardinality: int
-    deactivates: bool
-    target: int | None  # set iff the entry follows the path, in a valid model
-    distance: float | None
-
-
-#: (population, (target, distance)) links compiled for ``step``'s counts: per group (numbered
-#: by first appearance) its target; per link, in group order, its population, group and
-#: place among the links as given; and ``count``, from ``lattice.compile_disk_counts``.
+#: (population, target, radius) links compiled for ``step``'s counts: per group (numbered by
+#: first appearance of its target and radius) its target; per link, in group order, its
+#: population, group and place among the links as given; and ``compile_disk_counts``'s ``count``.
 _Links = namedtuple("_Links", "targets sources group order count")
 
 
-def _compile_links(links, side: int, probed: bool = False) -> _Links | None:
-    if not links:
+def _compile_links(sources, targets, radii, side: int, probed: bool = False) -> _Links | None:
+    if not len(sources):
         return None
     groups: dict[tuple[int, float], int] = {}
-    link_group = np.array([groups.setdefault(key, len(groups)) for _, key in links])
+    link_group = np.array([groups.setdefault(key, len(groups))
+                           for key in zip(targets.tolist(), radii.tolist())])
     order = np.argsort(link_group, kind="stable")
     keys = np.array(list(groups), dtype=float)  # (target, radius) per group
-    return _Links(keys[:, 0].astype(np.int64), np.array([p for p, _ in links])[order],
-                  link_group[order], order, compile_disk_counts(side, keys[:, 1], probed))
+    return _Links(keys[:, 0].astype(np.int64), sources[order], link_group[order], order,
+                  compile_disk_counts(side, keys[:, 1], probed))
 
 
 #: What ``step`` reads of one selection: the following populations, their
@@ -309,39 +304,38 @@ _Plan = namedtuple("_Plan", "follow field freeze threshold")
 
 
 class _Layout:
-    """Index-resolved rules of a model, built once per model as ``model.layout``.
-
-    A model that :func:`validate` rejects raises :class:`ConfigurationFault`
-    naming its first error, so every reference below resolves.
+    """Index-resolved rules of a model, built once per model as ``model.layout``: per matrix
+    entry, sorted by source, then priority (highest first), then file order, its ``source``,
+    ``target`` (-1 for a walk), ``cardinality`` (0 for a walk), ``distance``, ``deactivates``
+    and ``order`` in the file; per (source, target) of the targeted entries, one field group
+    at their widest distance: ``group_source``, ``group_target`` and ``group_distance``. A model
+    that :func:`validate` rejects raises :class:`ConfigurationFault` naming its first error.
     """
 
     def __init__(self, model: Model):
         model.require_valid()
-        names, side = model.population_names, model.lattice.side
+        names = model.population_names
         self.n_pops = len(names)
-        self.world = (side, names)  # what a state of this model carries
+        self.world = (model.lattice.side, names)  # what a state of this model carries
         pop_of = {name: i for i, name in enumerate(names)}
         rules = model.rules_by_name()
-
-        self.entries: list[list[_Entry]] = [[] for _ in range(self.n_pops)]
-        groups: list[dict[int, float]] = [{} for _ in range(self.n_pops)]
-        # Selection order: highest priority first; the stable sort keeps file order in ties.
-        for order, raw in sorted(enumerate(model.matrix), key=lambda e: -e[1].priority):
-            source = pop_of[raw.source_family]
-            target = None if raw.target_family is None else pop_of[raw.target_family]
-            deactivates = rules[raw.interaction_name].deactivation_action == DEACTIVATE_SOURCE
-            self.entries[source].append(_Entry(order, raw.cardinality, deactivates, target,
-                                               raw.distance))
-            if target is not None:  # a targeted entry follows the path
-                groups[source][target] = max(raw.distance, groups[source].get(target, 0.0))
-        # Field groups realise the "any linking entry" reading: a neighbour
-        # counts once if it is in range of the widest entry for its family.
-        self.field_groups = [tuple(sorted(g.items())) for g in groups]
-        # Selection reads only which populations are active and which
-        # follow-path entries' targets meet their cardinality.
-        needs = [(e.target, e.cardinality) for per_pop in self.entries for e in per_pop
-                 if e.target is not None]
-        self._needs = np.array(needs, dtype=np.int64).reshape(-1, 2).T
+        # Neither need fit in int64: priorities sort by rank, cardinalities stop at ``never``.
+        rank = {p: r for r, p in enumerate(sorted({e.priority for e in model.matrix}))}
+        never = sum(pop.size for pop in model.populations) + 1  # more active agents than exist
+        source, target, priority, *columns = map(np.array, zip(*[
+            (pop_of[e.source_family], pop_of.get(e.target_family, -1), -rank[e.priority],
+             0 if e.target_family is None else min(e.cardinality, never), float(e.distance or 0),
+             rules[e.interaction_name].deactivation_action == DEACTIVATE_SOURCE)
+            for e in model.matrix]))
+        self.order = np.lexsort((priority, source))  # stable, so file order breaks ties
+        self.source, self.target, self.cardinality, self.distance, self.deactivates = (
+            column[self.order] for column in (source, target, *columns))
+        linked = np.flatnonzero(self.target >= 0)
+        pair = self.source[linked] * self.n_pops + self.target[linked]
+        by_pair = np.argsort(pair)
+        pairs, first = np.unique(pair[by_pair], return_index=True)
+        self.group_source, self.group_target = np.divmod(pairs, self.n_pops)
+        self.group_distance = np.maximum.reduceat(self.distance[linked[by_pair]], first)
         self._last: tuple[bytes, _Plan] | None = None
 
     def check(self, state: WorldState) -> None:
@@ -351,31 +345,37 @@ class _Layout:
                 f"state (side {state.side}, populations {state.population_names}) is not of "
                 f"the model (side {self.world[0]}, populations {self.world[1]})")
 
-    def select(self, pop: int, active_counts: np.ndarray) -> _Entry:
-        for entry in self.entries[pop]:
-            if entry.target is None or active_counts[entry.target] >= entry.cardinality:
-                return entry
-        raise ConfigurationFault(f"no applicable matrix entry for population {self.world[1][pop]!r}")
+    def select(self, counts: np.ndarray, pops: np.ndarray) -> np.ndarray:
+        """The row of each listed population's first entry that applies at these active
+        counts per population: a walk always, a follow-path entry while its target has
+        at least ``cardinality`` active agents."""
+        rows = np.flatnonzero(counts[self.target] >= self.cardinality)
+        first = rows[np.diff(self.source[rows], prepend=-1) != 0]  # the first row of each source
+        chosen = np.full(self.n_pops, -1)
+        chosen[self.source[first]] = first
+        if (chosen[pops] < 0).any():
+            name = self.world[1][pops[chosen[pops].argmin()]]
+            raise ConfigurationFault(f"no applicable matrix entry for population {name!r}")
+        return chosen[pops]
 
-    def plan(self, active_counts: np.ndarray) -> _Plan:
-        """The compiled selection at these active counts per population. The
-        last one is kept as one (key, plan) tuple, and reused while no
-        population's selection changes."""
-        target, cardinality = self._needs
-        key = (active_counts > 0).tobytes() + (active_counts[target] >= cardinality).tobytes()
+    def plan(self, counts: np.ndarray) -> _Plan:
+        """The compiled selection at these active counts per population. The last one is
+        kept as one (key, plan) tuple, and reused while the same populations are active
+        and the same entries apply, so no population's selection changes."""
+        key = (counts > 0).tobytes() + (counts[self.target] >= self.cardinality).tobytes()
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        side = self.world[0]
-        selected = [(p, self.select(p, active_counts))
-                    for p in np.flatnonzero(active_counts).tolist()]
-        follow = [p for p, e in selected if e.target is not None]
-        freezing = [(p, e) for p, e in selected if e.deactivates and e.target is not None]
-        plan = _Plan(
-            np.array(follow, dtype=np.int64),
-            _compile_links([(p, g) for p in follow for g in self.field_groups[p]], side, True),
-            _compile_links([(p, (e.target, e.distance)) for p, e in freezing], side),
-            np.array([e.cardinality + (p == e.target) for p, e in freezing], dtype=np.int64))
+        pops = np.flatnonzero(counts)
+        rows = self.select(counts, pops)
+        follows = self.target[rows] >= 0
+        freeze = rows[follows & self.deactivates[rows]]
+        field = np.isin(self.group_source, pops[follows])  # the group rows whose source follows
+        groups = [c[field] for c in (self.group_source, self.group_target, self.group_distance)]
+        source, target, side = self.source[freeze], self.target[freeze], self.world[0]
+        plan = _Plan(pops[follows], _compile_links(*groups, side, True),
+                     _compile_links(source, target, self.distance[freeze], side),
+                     self.cardinality[freeze] + (source == target))
         self._last = key, plan
         return plan
 

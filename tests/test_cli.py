@@ -40,6 +40,20 @@ def _run_args(tmp_path, out, **overrides):
     return flat
 
 
+def test_a_cardinality_beyond_int64_runs_as_one_above_every_agent(tmp_path):
+    """A cardinality of 2**63 or more never applies, so a run with it writes the
+    reports of a run whose cardinality is one above its 30 agents."""
+    reports = []
+    for cardinality in (10**20, 31):
+        matrix = tmp_path / f"matrix_{cardinality}.txt"
+        matrix.write_text("particles walk 0 0\nwalkers walk 0 0\n"
+                          f"particles cooc 1 {cardinality} walkers 2\n")
+        out = tmp_path / f"out_{cardinality}"
+        assert run_cli("run", *_run_args(tmp_path, out, **{"--matrix": matrix})) == 0
+        reports.append([(out / f"report_t{tick}.csv").read_bytes() for tick in (0, 5)])
+    assert reports[0] == reports[1]
+
+
 def test_run_writes_reports_and_meta(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("run", *_run_args(tmp_path, out))

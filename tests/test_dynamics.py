@@ -32,6 +32,7 @@ from reference import (
     make_toy_model,
     make_walk_model,
     oracle_potential,
+    oracle_select,
     oracle_step,
 )
 
@@ -316,6 +317,22 @@ def test_priority_ties_break_by_matrix_order():
     entry = select_rule(a0, state, model)
     assert entry.target_family == "b"
     assert entry is model.matrix[3]
+
+
+def test_priorities_beyond_int64_keep_their_order():
+    """Priorities need not fit in int64: ``a`` chases ``b`` at 2**64 + 1 over
+    its walk at 2**64, and ``b`` walks at 2**63 over its chase at 2**63 - 1."""
+    matrix = [
+        InteractionMatrixEntry("a", "walk", 2**64, 0),
+        InteractionMatrixEntry("b", "walk", 2**63, 0),
+        InteractionMatrixEntry("a", "chase", 2**64 + 1, 1, "b", 2.0),
+        InteractionMatrixEntry("b", "chase", 2**63 - 1, 1, "a", 2.0),
+    ]
+    model = build_model(parse_rules(CHASE_RULES), matrix, side=15, sizes=2)
+    state = initialize(model, 4)
+    assert [select_rule(agent, state, model) for agent in range(4)] == [
+        matrix[2], matrix[2], matrix[1], matrix[1]]
+    _assert_steps_match_oracle(model, 4, 2)
 
 
 def test_no_applicable_entry_faults():
@@ -741,7 +758,10 @@ def test_step_adds_a_followers_field_groups_as_the_oracle_does():
     ]
     model = build_model(rules, matrix, side=11, beta=3.0, seed=7,
                         sizes={"a": 9, "b": 6, "c": 5, "d": 4})
-    assert model.layout.field_groups[0] == ((0, 2.0), (1, 1.5), (2, 3.0))
+    layout = model.layout
+    groups = layout.group_source == 0
+    assert list(zip(layout.group_target[groups].tolist(), layout.group_distance[groups].tolist())) \
+        == [(0, 2.0), (1, 1.5), (2, 3.0)]
     _assert_steps_match_oracle(model, 7, 3)
     plan = model.layout._last[1]
     assert plan.follow.tolist() == [0, 3]
@@ -874,8 +894,9 @@ def _spy_linked_counts(monkeypatch):
     calls, given = [], {}
     compile_links, linked_counts = model_module._compile_links, dynamics._linked_counts
 
-    def compile_spy(links, side, probed=False):
-        compiled = compile_links(links, side, probed)
+    def compile_spy(sources, targets, radii, side, probed=False):
+        compiled = compile_links(sources, targets, radii, side, probed)
+        links = zip(sources.tolist(), zip(targets.tolist(), radii.tolist()))
         given[id(compiled)] = list(links), probed
         return compiled
 
@@ -1037,9 +1058,9 @@ def _spy_plans(monkeypatch):
         plans.append(plan(layout, counts))
         return plans[-1]
 
-    def select_spy(layout, pop, counts):
-        selects.append(pop)
-        return select(layout, pop, counts)
+    def select_spy(layout, counts, pops):
+        selects.extend(pops.tolist())
+        return select(layout, counts, pops)
 
     monkeypatch.setattr(model_module._Layout, "plan", plan_spy)
     monkeypatch.setattr(model_module._Layout, "select", select_spy)
@@ -1139,6 +1160,77 @@ def small_worlds(draw):
     state = initialize(model, model.params.seed)
     frozen = draw(st.lists(st.booleans(), min_size=state.n_agents, max_size=state.n_agents))
     return model, dataclasses.replace(state, active=state.active & ~np.array(frozen, dtype=bool))
+
+
+@st.composite
+def selection_worlds(draw):
+    """A random model that ``validate`` accepts, each population with a walk at
+    any priority, and a state of it with some populations frozen out and some
+    agents frozen. Priorities tie, and reach past int64; cardinalities reach past
+    the targets' sizes; one source may follow one target at several distances."""
+    names = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
+    priorities = st.sampled_from([0, 1, 2, 2**64])
+    matrix = [InteractionMatrixEntry(name, "walk", draw(priorities), 0) for name in names]
+    for _ in range(draw(st.integers(0, 3 * len(names)))):
+        matrix.append(InteractionMatrixEntry(
+            draw(st.sampled_from(names)), draw(st.sampled_from(["pull", "glue"])),
+            draw(priorities), draw(st.sampled_from([0, 1, 2, 3, 41, 2**64])),
+            draw(st.sampled_from(names)), draw(st.sampled_from([1.0, 2.0, 3.0])),
+        ))
+    model = build_model(INVARIANT_RULES, draw(st.permutations(matrix)), side=7,
+                        sizes={name: draw(st.sampled_from([1, 2, 3, 40])) for name in names})
+    assert not [d for d in validate(model) if d.is_error]
+    state = initialize(model, 0)
+    out = draw(st.sets(st.integers(0, len(names) - 1)))
+    frozen = draw(st.lists(st.booleans(), min_size=state.n_agents, max_size=state.n_agents))
+    frozen |= np.isin(state.population_index, list(out))
+    return model, dataclasses.replace(state, active=state.active & ~frozen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(selection_worlds())
+def test_selection_and_field_groups_match_a_per_population_regrouping(world):
+    """``select_rule`` picks the oracle's entry for every agent, and the plan's
+    field and freeze links are those of a regrouping done population by
+    population: per active follower, one link per target at the widest distance
+    of its entries to that target; per active population whose entry freezes,
+    that entry, at its cardinality plus one on a self-link."""
+    model, state = world
+    names, pops = model.population_names, state.population_index
+    for agent in range(state.n_agents):
+        assert select_rule(agent, state, model) is oracle_select(names[pops[agent]], state, model)
+
+    counts = np.bincount(pops[state.active], minlength=len(names))
+    field, freeze = [], []
+    for p in np.flatnonzero(counts).tolist():
+        entry = oracle_select(names[p], state, model)
+        if entry.target_family is None:
+            continue
+        widest = {}
+        for e in model.matrix:
+            if e.source_family == names[p] and e.target_family is not None:
+                t = names.index(e.target_family)
+                widest[t] = max(e.distance, widest.get(t, 0.0))
+        field += [(p, t, d) for t, d in sorted(widest.items())]
+        if entry.interaction_name == "glue":
+            t = names.index(entry.target_family)
+            freeze.append((p, t, entry.distance, entry.cardinality + (p == t)))
+
+    given, compile_links = {}, model_module._compile_links
+
+    def spy(sources, targets, radii, side, probed=False):
+        links = compile_links(sources, targets, radii, side, probed)
+        given[probed] = list(zip(sources.tolist(), targets.tolist(), radii.tolist()))
+        if links is not None:  # the groups and the link order resolve the links as given
+            assert np.array_equal(links.targets[links.group], targets[links.order])
+            assert np.array_equal(links.sources, sources[links.order])
+        return links
+
+    with mock.patch.object(model_module, "_compile_links", spy):
+        plan = model.layout.plan(counts)
+    assert plan.follow.tolist() == sorted({p for p, _, _ in field})
+    assert given[True] == field
+    assert [link + (k,) for link, k in zip(given[False], plan.threshold.tolist())] == freeze
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coocsim import build_model, initialize, run, step, validate
+from coocsim import ConfigurationFault, build_model, initialize, run, step, validate
 from coocsim.io import EdgeList, build_relation_model, parse_edge_list, parse_matrix, parse_rules
 from coocsim.model import (
     InteractionMatrixEntry,
@@ -133,6 +133,17 @@ def test_total_agent_count_must_fit_in_int64(rules_text):
         f"{2**63} agents in all are too many to place; the total must be below 2**63"]
     model = build_model(parse_rules(rules_text), matrix, side=9, sizes={"a": 2**62, "b": 2**62 - 1})
     assert errors(validate(model)) == []
+
+
+def test_a_model_with_no_matrix_entry_is_an_error(rules_text):
+    """With no entry there is no population to run, so ``run`` and ``step``
+    refuse the model by ``validate``'s error rather than stepping an empty world."""
+    model = build_model(parse_rules(rules_text), [], side=9, sizes=5)
+    assert [d.message for d in validate(model)] == [
+        "the matrix has no entries, so the model has no population to run"]
+    for call in (lambda: run(model), lambda: step(initialize(model), model)):
+        with pytest.raises(ConfigurationFault, match="the matrix has no entries"):
+            call()
 
 
 def test_duplicate_names_and_bad_sizes_are_errors(rules_text):
